@@ -1,12 +1,21 @@
 """Exact binomial tail probabilities and "1 in N" presentation.
 
-The tail is computed by direct summation of binomial terms using exact
-integer coefficients from ``math.comb``, accumulated with ``math.fsum``.
-No normal approximation is involved, so the tiny tails this package cares
-about (order 1e-6 and below) keep near-full double precision.  When a
-power of ``p`` or ``1 - p`` inside a term that matters falls below the
-normal double range, the sum is redone in exact rational arithmetic, so
-even denormal-range results are correctly rounded.
+The tail is computed by direct summation of binomial terms, accumulated
+with ``math.fsum``.  The integer coefficients come from one
+``math.comb(n, k_min)`` stepped by the exact recurrence
+``C(n, k + 1) = C(n, k) * (n - k) // (k + 1)``, so every term is the
+same double it would be with ``math.comb`` at each k.  No normal
+approximation is involved, so the tiny tails this package cares about
+(order 1e-6 and below) keep near-full double precision: a few ulp, plus
+up to n times the relative rounding of the double ``1 - p``, since the
+float path works with ``1 - p`` rounded to a double.
+
+A tail whose union bound ``C(n, k_min) * p**k_min`` lies under
+``2**-1076`` is returned as 0.0 without summing: it rounds to zero in
+any case.  Otherwise, when a power of ``p`` or ``1 - p`` inside a term
+that matters falls below the normal double range, the sum is redone in
+exact rational arithmetic, so even denormal-range results are correctly
+rounded.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ MAX_TRIALS = 1000
 # doubles lose precision below 2**-1021; an isolated p**k or q**(n-k)
 # factor can land there long before the summed tail does
 _NORMAL_EXP_FLOOR = -1021.0
+# a tail at or under 2**-1075 rounds to 0.0 (ties to even); one more bit
+# absorbs the rounding of the logs that bound it
+_ZERO_EXP_BOUND = -1076.0
 _LN2 = math.log(2.0)
 
 
@@ -56,8 +68,16 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
+    coeff = math.comb(n, k_min)
+    # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min
+    if math.log2(coeff) + k_min * math.log2(p) < _ZERO_EXP_BOUND:
+        return 0.0
     q = 1.0 - p
-    terms = [math.comb(n, k) * p**k * q ** (n - k) for k in range(k_min, n + 1)]
+    terms = []
+    for k in range(k_min, n + 1):
+        terms.append(coeff * p**k * q ** (n - k))
+        # exact: C(n, k) * (n - k) = C(n, k + 1) * (k + 1)
+        coeff = coeff * (n - k) // (k + 1)
     # fsum keeps the relative error at a few ulp even when the largest and
     # smallest terms span many orders of magnitude
     total = math.fsum(terms)
@@ -127,6 +147,11 @@ def chance_format(probability: float) -> Chance:
     if math.isnan(probability) or not 0.0 < probability <= 1.0:
         raise DomainError(f"probability must be in (0, 1], got {probability!r}")
     reciprocal = 1.0 / probability
+    if math.isinf(reciprocal):
+        # below about 5.6e-309 the double reciprocal overflows; the exact
+        # one, den / num, is far above 10, so round it half up to a whole
+        num, den = probability.as_integer_ratio()
+        return Chance(probability, f"1 in {(2 * den + num) // (2 * num)}")
     # a double's reciprocal can need over 300 digits; the default decimal
     # context would refuse to quantize it
     with localcontext() as ctx:

@@ -9,6 +9,10 @@ small n, which is exactly why it makes a trustworthy oracle there.
 The exact oracle reads the bundled CSV text itself and computes shares,
 tails and "1 in N" displays in rational arithmetic.  Like the
 enumeration oracle it imports nothing from the package.
+
+``reference_binomial_tail`` keeps the package's original tail kernel
+(a fresh ``math.comb`` per term, then the exact-rational fallback) as
+the reference the faster kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -109,19 +113,79 @@ def share_envelope(population_csv, cutoff_year: int) -> tuple[Fraction, Fraction
 
 
 def exact_binomial_tail(n: int, k_min: int, p) -> Fraction:
-    """P(X >= k_min) for X ~ Binomial(n, p) at the exact value of ``p``."""
+    """P(X >= k_min) for X ~ Binomial(n, p) at the exact value of ``p``.
+
+    With ``p = a / b`` the tail is one integer over ``b**n``, the sum of
+    ``comb(n, k) * a**k * (b - a)**(n - k)``, taken by Horner's rule in
+    ``b - a`` so that n = 1000 stays within a second or so.
+    """
     p = Fraction(p)
-    return sum(
-        (math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(k_min, n + 1)),
-        Fraction(0),
-    )
+    a, b = p.numerator, p.denominator
+    numerator = 0
+    for k in range(k_min, n + 1):
+        numerator = numerator * (b - a) + math.comb(n, k) * a**k
+    return Fraction(numerator, b**n)
+
+
+_NORMAL_EXP_FLOOR = -1021.0
+_LN2 = math.log(2.0)
+
+
+def reference_binomial_tail(n: int, k_min: int, p: float) -> float:
+    """P(X >= k_min) as the original kernel computed it, for valid inputs:
+    float terms ``math.comb(n, k) * p**k * q**(n - k)`` summed by ``fsum``,
+    redone exactly when a denormal power may have poisoned a term that
+    matters."""
+    if k_min <= 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    q = 1.0 - p
+    total = math.fsum(math.comb(n, k) * p**k * q ** (n - k) for k in range(k_min, n + 1))
+    if _reference_underflow_suspected(n, k_min, p, q, total):
+        return _reference_exact_tail(n, k_min, p)
+    return min(total, 1.0)
+
+
+def _reference_underflow_suspected(n, k_min, p, q, total) -> bool:
+    if total <= 0.0:
+        return True
+    log_p = math.log2(p)
+    log_q = math.log2(q)
+    if n * log_p > _NORMAL_EXP_FLOOR and n * log_q > _NORMAL_EXP_FLOOR:
+        return False
+    bar = math.log2(total) - 80.0
+    log_n_fact = math.lgamma(n + 1)
+    for k in range(k_min, n + 1):
+        if k * log_p > _NORMAL_EXP_FLOOR and (n - k) * log_q > _NORMAL_EXP_FLOOR:
+            continue
+        log_comb = (log_n_fact - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
+        if log_comb + k * log_p + (n - k) * log_q >= bar:
+            return True
+    return False
+
+
+def _reference_exact_tail(n, k_min, p) -> float:
+    num_p, den = p.as_integer_ratio()
+    num_q = den - num_p
+    mode = math.floor((n + 1) * p)
+    term = math.comb(n, k_min) * num_p**k_min * num_q ** (n - k_min)
+    total = term
+    for k in range(k_min + 1, n + 1):
+        term = term * ((n - k + 1) * num_p) // (k * num_q)
+        total += term
+        if k >= mode and total.bit_length() - term.bit_length() > 140:
+            break
+    return total / (1 << ((den.bit_length() - 1) * n))
 
 
 def tail_tolerance(n: int, p: float, exact: Fraction) -> float:
     """How far a float-path tail at the double ``p`` may sit from ``exact``.
 
-    A few ulp (the README's numerical contract), plus the input error of
-    working with ``1 - p`` rounded to a double: a term carrying
+    The README's float-path contract: a few ulp, plus the input error of
+    working with ``1 - p`` rounded to a double, since a term carrying
     ``q**m`` moves by up to ``m`` times that relative rounding.
     """
     exact_q = 1 - Fraction(p)

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from oracles import exact_binomial_tail, one_in_n
+
 ANALYZE_CSV = """\
 source,depth,early_count,proportion,probability,chance
 ranker,10,7,0.187,0.000562,1 in 1781
@@ -143,6 +145,14 @@ def test_tail_reports_probability_and_chance():
     result = run_cli("tail", "--n", "10", "--k", "6", "--p", "0.18696", "--format", "csv")
     assert result.returncode == 0
     assert result.stdout == "probability,chance\n0.00448,1 in 223\n"
+
+
+def test_tail_with_denormal_probability_prints_exact_chance():
+    # 0.49**1000 is denormal: its double reciprocal overflows
+    result = run_cli("tail", "--n", "1000", "--k", "1000", "--p", "0.49", "--format", "csv")
+    assert result.returncode == 0
+    probability = float(exact_binomial_tail(1000, 1000, 0.49))
+    assert result.stdout.splitlines()[1].split(",")[1] == one_in_n(probability)
 
 
 def test_tail_monte_carlo_is_seeded():

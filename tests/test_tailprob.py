@@ -5,11 +5,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from eragreats import DomainError, binomial_tail, chance_format
-from oracles import enumerated_tail
+from eragreats.tailprob import MAX_TRIALS
+from oracles import enumerated_tail, exact_binomial_tail, one_in_n, reference_binomial_tail
 
 
 # ---------------------------------------------------------------- tails
@@ -87,6 +88,40 @@ def test_deep_tails_round_correctly():
     assert binomial_tail(100, 98, 5e-4) == 1.5603e-320
     # and a tail below the smallest denormal rounds to exactly zero
     assert binomial_tail(300, 299, 0.001) == 0.0
+
+
+# p from three families: uniform, log-uniform down to the smallest
+# denormal, and just under 1 (where the double 1 - p is coarsest)
+P_FAMILIES = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.floats(-1074.0, 0.0).map(lambda exponent: 2.0**exponent),
+    st.integers(1, 53).map(lambda m: 1.0 - 2.0**-m),
+)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, MAX_TRIALS), p=P_FAMILIES, data=st.data())
+def test_matches_reference_kernel_bit_for_bit(n, p, data):
+    k = data.draw(st.integers(0, n))
+    assert binomial_tail(n, k, p) == reference_binomial_tail(n, k, p)
+
+
+def test_zero_shortcut_boundary_rounds_like_exact():
+    # p puts the union bound log2(C(n, k) * p**k) in [-1080, -1070], on
+    # both sides of the 2**-1076 cut: results must split between 0.0 and
+    # the smallest denormals exactly as the exact tail rounds
+    outcomes = set()
+    for n in (1, 2, 5, 30, 200, 1000):
+        for k in sorted({n, n - 1, n - n // 4, n // 2} - {0}):
+            log_comb = math.log2(math.comb(n, k))
+            for bound in range(-1080, -1069):
+                p = 2.0 ** ((bound - log_comb) / k)
+                if p == 0.0:
+                    continue
+                expected = float(exact_binomial_tail(n, k, p))
+                assert binomial_tail(n, k, p) == expected, (n, k, p)
+                outcomes.add(expected > 0.0)
+    assert outcomes == {False, True}
 
 
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0, allow_nan=False), data=st.data())
@@ -173,7 +208,7 @@ def test_chance_rejects_out_of_domain_probabilities():
             chance_format(bad)
 
 
-@given(st.floats(1e-300, 1.0, allow_nan=False))
+@given(st.floats(5e-324, 1.0, allow_nan=False, allow_subnormal=True))
 def test_chance_display_shape(probability):
     display = chance_format(probability).display
     assert display.startswith("1 in ")
@@ -184,3 +219,9 @@ def test_chance_display_shape(probability):
         whole, frac = tail.split(".")
         assert len(frac) == 1
         assert float(tail) < 10
+
+
+@given(st.floats(5e-324, 5.6e-309, allow_subnormal=True))
+def test_chance_display_exact_where_the_reciprocal_overflows(probability):
+    assume(math.isinf(1.0 / probability))
+    assert chance_format(probability).display == one_in_n(probability)

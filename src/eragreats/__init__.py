@@ -48,8 +48,6 @@ from .population import (
     cumulative_proportion,
     load_population_table,
     load_weight_regimes,
-    weighted_cumulative_population,
-    weighted_cumulative_proportion,
 )
 from .rankings import PlayerEntry, RankedList, count_early, dump_ranked_list, load_ranked_list
 from .tailprob import Chance, binomial_tail, chance_format
@@ -99,6 +97,4 @@ __all__ = [
     "monte_carlo_oracle",
     "per_roster_spot",
     "sensitivity_matrix",
-    "weighted_cumulative_population",
-    "weighted_cumulative_proportion",
 ]

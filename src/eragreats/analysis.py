@@ -15,13 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .population import (
-    PopulationTable,
-    WeightRegime,
-    cumulative_population,
-    cumulative_proportion,
-    weighted_cumulative_proportion,
-)
+from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
 from .rankings import RankedList, count_early
 from .tailprob import Chance, binomial_tail, chance_format
 
@@ -52,6 +46,21 @@ def _check_span(ranked: RankedList, table: PopulationTable) -> None:
             )
 
 
+def _report(
+    source: str, depth: int, early: int, proportion: float, regime: str | None = None
+) -> OverrepReport:
+    probability = binomial_tail(depth, early, proportion)
+    return OverrepReport(
+        source=source,
+        depth=depth,
+        early_count=early,
+        proportion_used=proportion,
+        tail_probability=probability,
+        chance=chance_format(probability),
+        regime=regime,
+    )
+
+
 def analyze(
     ranked: RankedList,
     depth: int,
@@ -66,20 +75,10 @@ def analyze(
     at full precision.
     """
     _check_span(ranked, table)
-    if regime is None:
-        proportion = cumulative_proportion(table, cutoff_year)
-    else:
-        proportion = weighted_cumulative_proportion(table, regime, cutoff_year)
+    proportion = cumulative_proportion(table, cutoff_year, regime=regime)
     early = count_early(ranked, depth, cutoff_year)
-    probability = binomial_tail(depth, early, proportion)
-    return OverrepReport(
-        source=ranked.source,
-        depth=depth,
-        early_count=early,
-        proportion_used=proportion,
-        tail_probability=probability,
-        chance=chance_format(probability),
-        regime=None if regime is None else regime.name,
+    return _report(
+        ranked.source, depth, early, proportion, None if regime is None else regime.name
     )
 
 
@@ -132,21 +131,7 @@ def bridge_check(
         raise DomainError("bridge check needs at least one (depth, count) pair")
     era = cumulative_population(table, era_cutoff_year)
     pool = cumulative_population(table, pool_cutoff_year)
-    proportion = era / pool
-    reports = []
-    for depth, early in counts:
-        probability = binomial_tail(depth, early, proportion)
-        reports.append(
-            OverrepReport(
-                source=source,
-                depth=depth,
-                early_count=early,
-                proportion_used=proportion,
-                tail_probability=probability,
-                chance=chance_format(probability),
-            )
-        )
-    return reports
+    return [_report(source, depth, early, era / pool) for depth, early in counts]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from .defaults import (
     default_population_table,
     default_ranked_lists,
     default_weight_regimes,
-    data_path,
 )
 from .detrend import (
     compute_historic_average,
@@ -43,12 +42,7 @@ from .dilution import (
 )
 from .errors import DataError, DomainError
 from .formatting import format_probability, format_proportion
-from .population import (
-    cumulative_proportion,
-    load_population_table,
-    load_weight_regimes,
-    weighted_cumulative_proportion,
-)
+from .population import cumulative_proportion, load_population_table, load_weight_regimes
 from .rankings import load_ranked_list
 from .tailprob import binomial_tail, chance_format
 
@@ -225,11 +219,7 @@ def _ranked_lists(args):
 
 def _cmd_proportion(args) -> str:
     table = _population_table(args)
-    regime = _pick_regime(args)
-    if regime is None:
-        value = cumulative_proportion(table, args.cutoff)
-    else:
-        value = weighted_cumulative_proportion(table, regime, args.cutoff)
+    value = cumulative_proportion(table, args.cutoff, regime=_pick_regime(args))
     return format_proportion(value) + "\n"
 
 
@@ -320,7 +310,7 @@ def _cmd_dilution(args) -> str:
     if args.league:
         seasons = build_league_seasons(load_league_config(args.league), table)
     else:
-        seasons = build_league_seasons(load_league_config(data_path("league_config.csv")), table)
+        seasons = default_league_seasons(table)
     columns = ["year", "teams", "roster_size", "population_millions", "per_roster_spot_thousands"]
     display = []
     payload = []

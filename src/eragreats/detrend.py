@@ -8,13 +8,12 @@ seasons.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError, DomainError
+from .population import parse_float, parse_int, read_rows
 
 
 @dataclass(frozen=True)
@@ -91,42 +90,20 @@ def detrend_career(
 
 def load_season_stats(path) -> list[SeasonStat]:
     """Read ``season,value,league_average`` rows from CSV."""
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
-    if not rows:
-        raise DataError("file is empty", path=path)
-    header = [h.strip() for h in rows[0]]
-    if header != ["season", "value", "league_average"]:
-        raise DataError(
-            f"expected header 'season,value,league_average', got {','.join(rows[0])!r}",
-            path=path, line=1,
-        )
-    stats = []
     seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)}", path=path, line=lineno)
-        try:
-            season = int(row[0].strip())
-            value = float(row[1].strip())
-            league_average = float(row[2].strip())
-        except ValueError:
-            raise DataError(f"bad number in row {row!r}", path=path, line=lineno) from None
-        if math.isnan(value) or math.isinf(value) or math.isnan(league_average):
-            raise DataError(f"bad number in row {row!r}", path=path, line=lineno)
+
+    def parse(cells):
+        season = parse_int(cells[0], "season")
+        value = parse_float(cells[1], "value")
+        league_average = parse_float(cells[2], "league_average")
         if season in seen:
-            raise DataError(f"duplicate season {season}", path=path, line=lineno)
+            raise DataError(f"duplicate season {season}")
         seen.add(season)
-        try:
-            stats.append(SeasonStat(season, value, league_average))
-        except DataError as exc:
-            raise DataError(str(exc), path=path, line=lineno) from None
-    if not stats:
-        raise DataError("no season rows found", path=path)
-    return stats
+        return SeasonStat(season, value, league_average)
+
+    def build(stats):
+        if not stats:
+            raise DataError("no season rows found")
+        return stats
+
+    return read_rows(path, "season,value,league_average", parse, build)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 from .errors import DataError, DomainError
-from .population import PopulationTable
+from .population import PopulationTable, parse_int, read_rows
 
 
 @dataclass(frozen=True)
@@ -57,33 +55,19 @@ def format_per_roster_spot(value: float) -> str:
 
 def load_league_config(path) -> list[tuple[int, int, int]]:
     """Read ``year,teams,roster_size`` rows from CSV."""
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
-    if not rows:
-        raise DataError("file is empty", path=path)
-    header = [h.strip() for h in rows[0]]
-    if header != ["year", "teams", "roster_size"]:
-        raise DataError(
-            f"expected header 'year,teams,roster_size', got {','.join(rows[0])!r}",
-            path=path, line=1,
-        )
-    config = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)}", path=path, line=lineno)
-        try:
-            config.append((int(row[0].strip()), int(row[1].strip()), int(row[2].strip())))
-        except ValueError:
-            raise DataError(f"bad integer in row {row!r}", path=path, line=lineno) from None
-    if not config:
-        raise DataError("no league rows found", path=path)
-    return config
+    columns = ("year", "teams", "roster_size")
+
+    def build(config):
+        if not config:
+            raise DataError("no league rows found")
+        return config
+
+    return read_rows(
+        path,
+        ",".join(columns),
+        lambda cells: tuple(parse_int(cell, name) for name, cell in zip(columns, cells)),
+        build,
+    )
 
 
 def build_league_seasons(

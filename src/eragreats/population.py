@@ -9,7 +9,10 @@ a cutoff on a period's final year includes the period in full.
 
 Interest weighting scales each period's population by a regime weight in
 both the numerator and the denominator, which models era-dependent talent
-pull without changing the total-share normalization.
+pull without changing the total-share normalization.  The share functions
+take the regime as an optional ``regime=`` argument.
+
+``read_rows`` is the one CSV reader every loader in the package uses.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import DataError, DomainError
 
@@ -123,78 +126,129 @@ def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
 
 
 def _accumulate(
-    table: PopulationTable,
-    cutoff_year: int,
-    weight_of: Callable[[PopulationRecord], float],
+    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None
 ) -> float:
-    """Weighted population total through ``cutoff_year``, prorating any
-    period the cutoff splits.  Summed with ``math.fsum`` so that the share
-    at the final table year is exactly 1.
+    """Population total through ``cutoff_year``, each period scaled by its
+    ``regime`` weight, prorating any period the cutoff splits.  Summed
+    with ``math.fsum`` so that the share at the final table year is
+    exactly 1.
     """
     terms = []
     for rec in table.records:
+        weight = 1.0 if regime is None else regime.weights[rec.period_end_year]
         if rec.period_end_year <= cutoff_year:
-            terms.append(weight_of(rec) * rec.population)
+            terms.append(weight * rec.population)
         elif rec.period_start_year < cutoff_year:
             fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
-            terms.append(weight_of(rec) * rec.population * fraction)
+            terms.append(weight * rec.population * fraction)
     return math.fsum(terms)
 
 
-def _check_cutoff(table: PopulationTable, cutoff_year: int) -> None:
-    if not isinstance(cutoff_year, int):
+def _check_inputs(
+    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None
+) -> None:
+    if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
         raise DomainError(f"cutoff year must be an integer, got {cutoff_year!r}")
     if not table.first_year < cutoff_year <= table.final_year:
         raise DomainError(
             f"cutoff year {cutoff_year} is outside the covered span "
             f"({table.first_year}, {table.final_year}]"
         )
+    if regime is not None:
+        _check_weight_years(table, regime)
 
 
-def cumulative_population(table: PopulationTable, cutoff_year: int) -> float:
-    """Eligible population (millions) that existed through ``cutoff_year``."""
-    _check_cutoff(table, cutoff_year)
-    return _accumulate(table, cutoff_year, lambda rec: 1.0)
+def cumulative_population(
+    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
+) -> float:
+    """Eligible population (millions) that existed through ``cutoff_year``,
+    each period scaled by its ``regime`` weight when one is given."""
+    _check_inputs(table, cutoff_year, regime)
+    return _accumulate(table, cutoff_year, regime)
 
 
-def cumulative_proportion(table: PopulationTable, cutoff_year: int) -> float:
+def cumulative_proportion(
+    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
+) -> float:
     """Share of the all-time eligible population through ``cutoff_year``.
 
-    No intermediate rounding: the ratio is taken between two full-precision
-    accumulations, and equals exactly 1.0 at the table's final year.
+    With a ``regime``, each period's population is scaled by its weight in
+    both the numerator and the denominator; uniform weights give the
+    unweighted share.  No intermediate rounding: the ratio is taken
+    between two full-precision accumulations, and equals exactly 1.0 at
+    the table's final year.
     """
-    _check_cutoff(table, cutoff_year)
-    numerator = _accumulate(table, cutoff_year, lambda rec: 1.0)
-    denominator = _accumulate(table, table.final_year, lambda rec: 1.0)
-    return numerator / denominator
-
-
-def weighted_cumulative_population(
-    table: PopulationTable, regime: WeightRegime, cutoff_year: int
-) -> float:
-    """Interest-weighted population (millions) through ``cutoff_year``."""
-    _check_cutoff(table, cutoff_year)
-    _check_weight_years(table, regime)
-    return _accumulate(table, cutoff_year, lambda rec: regime.weights[rec.period_end_year])
-
-
-def weighted_cumulative_proportion(
-    table: PopulationTable, regime: WeightRegime, cutoff_year: int
-) -> float:
-    """Interest-weighted share of the all-time pool through ``cutoff_year``.
-
-    Each period's population is scaled by its regime weight in both the
-    numerator and the denominator.  With uniform weights this reduces to
-    :func:`cumulative_proportion`.
-    """
-    _check_cutoff(table, cutoff_year)
-    _check_weight_years(table, regime)
-    weight_of = lambda rec: regime.weights[rec.period_end_year]
-    numerator = _accumulate(table, cutoff_year, weight_of)
-    denominator = _accumulate(table, table.final_year, weight_of)
+    _check_inputs(table, cutoff_year, regime)
+    numerator = _accumulate(table, cutoff_year, regime)
+    denominator = _accumulate(table, table.final_year, regime)
     if denominator == 0.0:
         raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
     return numerator / denominator
+
+
+def read_rows(path, header, parse_row, build=list, widths=None):
+    """Read the CSV file at ``path`` and return ``build(rows)``, where
+    ``rows`` holds ``parse_row(cells)`` for each non-blank data row.
+
+    ``header`` is the expected header, such as ``"year,teams,roster_size"``,
+    which the stripped header cells must spell; or a callable that takes
+    those cells and raises DataError when they are wrong.  A data row must
+    have one of ``widths`` cells (default: as many as the header), and its
+    cells reach ``parse_row`` stripped.  A DataError from any step gains
+    the path, plus the line when the header or a row is at fault.
+    """
+    path = Path(path)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+    if not rows:
+        raise DataError("file is empty", path=path)
+    names = [cell.strip() for cell in rows[0]]
+    if callable(header):
+        try:
+            header(names)
+        except DataError as exc:
+            raise DataError(str(exc), path=path, line=1) from None
+    elif names != header.split(","):
+        raise DataError(
+            f"expected header {header!r}, got {','.join(rows[0])!r}", path=path, line=1
+        )
+    widths = widths or (len(names),)
+    parsed = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
+            continue
+        try:
+            if len(cells) not in widths:
+                expected = " or ".join(map(str, widths))
+                raise DataError(f"expected {expected} columns, got {len(cells)}")
+            parsed.append(parse_row(cells))
+        except DataError as exc:
+            raise DataError(str(exc), path=path, line=lineno) from None
+    try:
+        return build(parsed)
+    except DataError as exc:
+        raise DataError(str(exc), path=path) from None
+
+
+def parse_int(cell: str, what: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise DataError(f"bad {what}: {cell!r}") from None
+
+
+def parse_float(cell: str, what: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"bad {what}: {cell!r}") from None
+    if math.isnan(value) or math.isinf(value):
+        raise DataError(f"bad {what}: {cell!r}")
+    return value
 
 
 def load_population_table(path) -> PopulationTable:
@@ -204,34 +258,25 @@ def load_population_table(path) -> PopulationTable:
     The length column is optional and defaults to 10; an empty cell also
     means 10.
     """
-    path = Path(path)
-    rows = _read_csv(path)
-    header, data = rows[0], rows[1:]
-    if [h.strip() for h in header[:2]] != ["year", "population_millions"]:
-        raise DataError(
-            "expected header 'year,population_millions[,period_length_years]', "
-            f"got {','.join(header)!r}",
-            path=path, line=1,
-        )
-    records = []
-    for lineno, row in enumerate(data, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) not in (2, 3):
-            raise DataError(f"expected 2 or 3 columns, got {len(row)}", path=path, line=lineno)
-        year = _parse_int(row[0], "year", path, lineno)
-        population = _parse_float(row[1], "population_millions", path, lineno)
+
+    def check_header(names):
+        if names[:2] != ["year", "population_millions"]:
+            raise DataError(
+                "expected header 'year,population_millions[,period_length_years]', "
+                f"got {','.join(names)!r}"
+            )
+
+    def parse(cells):
+        year = parse_int(cells[0], "year")
+        population = parse_float(cells[1], "population_millions")
         length = 10
-        if len(row) == 3 and row[2].strip():
-            length = _parse_int(row[2], "period_length_years", path, lineno)
-        try:
-            records.append(PopulationRecord(year, population, length))
-        except DataError as exc:
-            raise DataError(str(exc), path=path, line=lineno) from None
-    try:
-        return PopulationTable(tuple(records))
-    except DataError as exc:
-        raise DataError(str(exc), path=path) from None
+        if len(cells) == 3 and cells[2]:
+            length = parse_int(cells[2], "period_length_years")
+        return PopulationRecord(year, population, length)
+
+    return read_rows(
+        path, check_header, parse, lambda records: PopulationTable(tuple(records)), (2, 3)
+    )
 
 
 def load_weight_regimes(path) -> dict[str, WeightRegime]:
@@ -240,59 +285,27 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
     Expected header: ``year,<name>,<name>,...``.  Returns regimes keyed by
     name, in column order.
     """
-    path = Path(path)
-    rows = _read_csv(path)
-    header, data = rows[0], rows[1:]
-    if not header or header[0].strip() != "year" or len(header) < 2:
-        raise DataError(
-            f"expected header 'year,<regime>,...', got {','.join(header)!r}",
-            path=path, line=1,
-        )
-    names = [h.strip() for h in header[1:]]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate regime names in header", path=path, line=1)
-    weights: dict[str, dict[int, float]] = {name: {} for name in names}
-    for lineno, row in enumerate(data, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} columns, got {len(row)}", path=path, line=lineno
-            )
-        year = _parse_int(row[0], "year", path, lineno)
-        for name, cell in zip(names, row[1:]):
-            if year in weights[name]:
-                raise DataError(f"duplicate year {year}", path=path, line=lineno)
-            weights[name][year] = _parse_float(cell, f"weight {name!r}", path, lineno)
-    try:
-        return {name: WeightRegime(name, weights[name]) for name in names}
-    except DataError as exc:
-        raise DataError(str(exc), path=path) from None
+    names: list[str] = []
+    years: set[int] = set()
 
+    def check_header(cells):
+        if cells[:1] != ["year"] or len(cells) < 2:
+            raise DataError(f"expected header 'year,<regime>,...', got {','.join(cells)!r}")
+        names.extend(cells[1:])
+        if len(set(names)) != len(names):
+            raise DataError("duplicate regime names in header")
 
-def _read_csv(path: Path) -> list[list[str]]:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
-    if not rows:
-        raise DataError("file is empty", path=path)
-    return rows
+    def parse(cells):
+        year = parse_int(cells[0], "year")
+        if year in years:
+            raise DataError(f"duplicate year {year}")
+        years.add(year)
+        return year, [parse_float(cell, f"weight {name!r}") for name, cell in zip(names, cells[1:])]
 
+    def build(rows):
+        return {
+            name: WeightRegime(name, {year: weights[i] for year, weights in rows})
+            for i, name in enumerate(names)
+        }
 
-def _parse_int(cell: str, what: str, path: Path, lineno: int) -> int:
-    try:
-        return int(cell.strip())
-    except ValueError:
-        raise DataError(f"bad {what}: {cell.strip()!r}", path=path, line=lineno) from None
-
-
-def _parse_float(cell: str, what: str, path: Path, lineno: int) -> float:
-    try:
-        value = float(cell.strip())
-    except ValueError:
-        raise DataError(f"bad {what}: {cell.strip()!r}", path=path, line=lineno) from None
-    if math.isnan(value) or math.isinf(value):
-        raise DataError(f"bad {what}: {cell.strip()!r}", path=path, line=lineno)
-    return value
+    return read_rows(path, check_header, parse, build)

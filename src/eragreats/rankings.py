@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, DomainError
+from .population import parse_int, read_rows
 
 
 @dataclass(frozen=True)
@@ -68,39 +69,18 @@ def load_ranked_list(path, source: str | None = None) -> RankedList:
 
     ``source`` defaults to the file's stem.
     """
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
-    if not rows:
-        raise DataError("file is empty", path=path)
-    header = [h.strip() for h in rows[0]]
-    if header != ["rank", "name", "career_start_year"]:
-        raise DataError(
-            f"expected header 'rank,name,career_start_year', got {','.join(rows[0])!r}",
-            path=path, line=1,
-        )
-    entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)}", path=path, line=lineno)
-        try:
-            rank = int(row[0].strip())
-            year = int(row[2].strip())
-        except ValueError:
-            raise DataError(f"bad rank or year in row {row!r}", path=path, line=lineno) from None
-        try:
-            entries.append(PlayerEntry(rank, row[1].strip(), year))
-        except DataError as exc:
-            raise DataError(str(exc), path=path, line=lineno) from None
-    try:
-        return RankedList(source or path.stem, tuple(entries))
-    except DataError as exc:
-        raise DataError(str(exc), path=path) from None
+
+    def parse(cells):
+        rank = parse_int(cells[0], "rank")
+        year = parse_int(cells[2], "career_start_year")
+        return PlayerEntry(rank, cells[1], year)
+
+    return read_rows(
+        path,
+        "rank,name,career_start_year",
+        parse,
+        lambda entries: RankedList(source or Path(path).stem, tuple(entries)),
+    )
 
 
 def dump_ranked_list(ranked: RankedList) -> str:

@@ -16,13 +16,17 @@ any case.  Otherwise, when a power of ``p`` or ``1 - p`` inside a term
 that matters falls below the normal double range, the sum is redone in
 exact rational arithmetic, so even denormal-range results are correctly
 rounded.
+
+"1 in N" is always the exact reciprocal of the probability, taken from
+its integer ratio and rounded half up in integer arithmetic, so every
+digit of N is right, also where the double ``1 / p`` would round the
+last digits away or overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from .errors import DomainError
 
@@ -139,30 +143,16 @@ def _exact_tail(n: int, k_min: int, p: float) -> float:
 def chance_format(probability: float) -> Chance:
     """Render a probability as a "1 in N" string.
 
-    N is the reciprocal, rounded half away from zero: to a whole number
-    when it is 10 or more, to one decimal place below 10.  A one-decimal
-    value that lands on a whole number drops the ".0" (so a certainty
-    prints as "1 in 1", not "1 in 1.0").
+    N is the exact reciprocal of the double, rounded half up: to a whole
+    number when it is 10 or more, to one decimal place below 10.  A
+    one-decimal value that lands on a whole number drops the ".0" (so a
+    certainty prints as "1 in 1", not "1 in 1.0").
     """
     if math.isnan(probability) or not 0.0 < probability <= 1.0:
         raise DomainError(f"probability must be in (0, 1], got {probability!r}")
-    reciprocal = 1.0 / probability
-    if math.isinf(reciprocal):
-        # below about 5.6e-309 the double reciprocal overflows; the exact
-        # one, den / num, is far above 10, so round it half up to a whole
-        num, den = probability.as_integer_ratio()
+    # the reciprocal is den / num exactly; floor(x + 1/2) rounds x half up
+    num, den = probability.as_integer_ratio()
+    if den >= 10 * num:
         return Chance(probability, f"1 in {(2 * den + num) // (2 * num)}")
-    # a double's reciprocal can need over 300 digits; the default decimal
-    # context would refuse to quantize it
-    with localcontext() as ctx:
-        ctx.prec = 400
-        if reciprocal >= 10.0:
-            rounded = Decimal(reciprocal).quantize(Decimal("1"), rounding=ROUND_HALF_UP)
-            display = f"1 in {rounded}"
-        else:
-            rounded = Decimal(reciprocal).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-            if rounded == rounded.to_integral_value():
-                display = f"1 in {rounded.to_integral_value()}"
-            else:
-                display = f"1 in {rounded}"
-    return Chance(probability, display)
+    whole, tenth = divmod((20 * den + num) // (2 * num), 10)
+    return Chance(probability, f"1 in {whole}" if tenth == 0 else f"1 in {whole}.{tenth}")

@@ -54,7 +54,6 @@ from eragreats import (
     per_roster_spot,
     sensitivity_matrix,
     SeasonStat,
-    weighted_cumulative_proportion,
 )
 from eragreats.defaults import data_path
 from eragreats.population import PopulationRecord, PopulationTable
@@ -455,7 +454,7 @@ def test_criterion_8_invariants_and_determinism(table, regimes, ranked_lists, ca
     for cutoff in (1875, 1950, 1999, 2015):
         plain = cumulative_proportion(table, cutoff)
         if not math.isclose(
-            weighted_cumulative_proportion(table, uniform, cutoff), plain, rel_tol=1e-12
+            cumulative_proportion(table, cutoff, regime=uniform), plain, rel_tol=1e-12
         ):
             failures.append(f"uniform weights shift the share at {cutoff}")
         if not math.isclose(

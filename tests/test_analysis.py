@@ -18,7 +18,6 @@ from eragreats import (
     cumulative_proportion,
     monte_carlo_oracle,
     sensitivity_matrix,
-    weighted_cumulative_proportion,
 )
 from oracles import enumerated_tail
 
@@ -40,7 +39,7 @@ def test_analyze_with_regime_uses_weighted_share(table, regimes, lists_by_name):
     ranked = lists_by_name["espn"]
     report = analyze(ranked, 25, 1950, table, regimes["w4"])
     assert report.regime == "w4"
-    assert report.proportion_used == weighted_cumulative_proportion(table, regimes["w4"], 1950)
+    assert report.proportion_used == cumulative_proportion(table, 1950, regime=regimes["w4"])
     assert report.chance.display == "1 in 18"
 
 

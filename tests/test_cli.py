@@ -221,6 +221,12 @@ def test_input_data_errors_exit_3(tmp_path):
 
     assert run_cli("proportion", "--regime", "w9").returncode == 3
 
+    seasons = tmp_path / "seasons.csv"
+    seasons.write_text("season,value,league_average\n1920,54,inf\n")
+    result = run_cli("detrend", str(seasons))
+    assert result.returncode == 3
+    assert "seasons.csv:2" in result.stderr
+
 
 def test_domain_errors_exit_4():
     assert run_cli("proportion", "--cutoff", "3000").returncode == 4

@@ -18,8 +18,6 @@ from eragreats import (
     cumulative_proportion,
     load_population_table,
     load_weight_regimes,
-    weighted_cumulative_population,
-    weighted_cumulative_proportion,
 )
 
 # hand sums over the bundled table (decade populations in millions)
@@ -74,6 +72,11 @@ def test_cutoff_domain_is_half_open(table):
         cumulative_proportion(table, 2016)
     with pytest.raises(DomainError):
         cumulative_proportion(table, 1492)
+    # a bool is not a year, even where its integer value lies in the span
+    year_one = PopulationTable((PopulationRecord(1, 1.0, 1),))
+    assert cumulative_proportion(year_one, 1) == 1.0
+    with pytest.raises(DomainError):
+        cumulative_proportion(year_one, True)
     # first year after the span opens is fine
     assert cumulative_proportion(table, 1871) > 0
 
@@ -83,7 +86,7 @@ def test_weighted_proportion_matches_hand_sums(table, regimes):
     w1 = regimes["w1"]
     numerator = 0.5 * 42.44 + 0.4 * 22.72
     denominator = 0.5 * 42.44 + 0.4 * 306.09
-    assert weighted_cumulative_proportion(table, w1, 1950) == pytest.approx(
+    assert cumulative_proportion(table, 1950, regime=w1) == pytest.approx(
         numerator / denominator, rel=1e-12
     )
     # w3 tapers through the modern decades
@@ -93,14 +96,14 @@ def test_weighted_proportion_matches_hand_sums(table, regimes):
         [0.34 * 18.42, 0.28 * 24.49, 0.16 * 33.93, 0.16 * 37.46,
          0.13 * 60.66, 0.12 * 72.27, 0.10 * 36.14]
     )
-    assert weighted_cumulative_proportion(table, w3, 1950) == pytest.approx(
+    assert cumulative_proportion(table, 1950, regime=w3) == pytest.approx(
         numerator / denominator, rel=1e-12
     )
 
 
 def test_weighted_population_scales_each_period(table, regimes):
     w1 = regimes["w1"]
-    assert weighted_cumulative_population(table, w1, 1950) == pytest.approx(
+    assert cumulative_population(table, 1950, regime=w1) == pytest.approx(
         0.5 * 42.44 + 0.4 * 22.72, rel=1e-12
     )
 
@@ -109,7 +112,7 @@ def test_uniform_weights_reduce_to_unweighted(table):
     for value in (1.0, 0.37):
         uniform = WeightRegime("uniform", {year: value for year in table.years})
         for cutoff in (1871, 1875, 1950, 1999, 2015):
-            weighted = weighted_cumulative_proportion(table, uniform, cutoff)
+            weighted = cumulative_proportion(table, cutoff, regime=uniform)
             plain = cumulative_proportion(table, cutoff)
             assert weighted == pytest.approx(plain, rel=1e-12)
 
@@ -117,17 +120,17 @@ def test_uniform_weights_reduce_to_unweighted(table):
 def test_regime_years_must_match_table(table):
     missing = WeightRegime("short", {1880: 0.5})
     with pytest.raises(DataError):
-        weighted_cumulative_proportion(table, missing, 1950)
+        cumulative_proportion(table, 1950, regime=missing)
     extra = {year: 0.5 for year in table.years}
     extra[1850] = 0.5
     with pytest.raises(DataError):
-        weighted_cumulative_proportion(table, WeightRegime("extra", extra), 1950)
+        cumulative_proportion(table, 1950, regime=WeightRegime("extra", extra))
 
 
 def test_all_zero_weights_are_rejected(table):
     zero = WeightRegime("zero", {year: 0.0 for year in table.years})
     with pytest.raises(DomainError):
-        weighted_cumulative_proportion(table, zero, 1950)
+        cumulative_proportion(table, 1950, regime=zero)
 
 
 # ------------------------------------------------------- property tests
@@ -183,7 +186,7 @@ def test_weighted_share_with_uniform_weights_is_identity(table, data):
     cutoff = data.draw(st.integers(table.first_year + 1, table.final_year))
     weight = data.draw(st.floats(0.01, 1.0, allow_nan=False))
     uniform = WeightRegime("u", {year: weight for year in table.years})
-    assert weighted_cumulative_proportion(table, uniform, cutoff) == pytest.approx(
+    assert cumulative_proportion(table, cutoff, regime=uniform) == pytest.approx(
         cumulative_proportion(table, cutoff), rel=1e-12
     )
 

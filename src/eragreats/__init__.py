@@ -49,7 +49,7 @@ from .population import (
     load_population_table,
     load_weight_regimes,
 )
-from .rankings import PlayerEntry, RankedList, count_early, dump_ranked_list, load_ranked_list
+from .rankings import PlayerEntry, RankedList, count_early, load_ranked_list
 from .tailprob import Chance, binomial_tail, chance_format
 
 __version__ = "0.1.0"
@@ -85,7 +85,6 @@ __all__ = [
     "default_weight_regimes",
     "detrend_career",
     "detrend_value",
-    "dump_ranked_list",
     "format_per_roster_spot",
     "format_probability",
     "format_proportion",

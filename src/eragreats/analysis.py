@@ -113,7 +113,6 @@ def bridge_check(
     pool_cutoff_year: int,
     era_cutoff_year: int,
     table: PopulationTable,
-    source: str = "external",
 ) -> list[OverrepReport]:
     """Recompute externally reported results against a truncated pool.
 
@@ -131,7 +130,7 @@ def bridge_check(
         raise DomainError("bridge check needs at least one (depth, count) pair")
     era = cumulative_population(table, era_cutoff_year)
     pool = cumulative_population(table, pool_cutoff_year)
-    return [_report(source, depth, early, era / pool) for depth, early in counts]
+    return [_report("external", depth, early, era / pool) for depth, early in counts]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> np.ndarray:
@@ -144,6 +143,8 @@ def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> np.ndarr
         raise DomainError(f"depth must be a positive integer, got {depth!r}")
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     if np.isnan(p) or not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
     rng = np.random.default_rng(seed)

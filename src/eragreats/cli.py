@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proportion", help="cumulative share of the eligible pool at a cutoff")
     _add_population(p)
     _add_cutoff(p)
-    p.add_argument("--weights", metavar="PATH", help="weight regimes CSV (default: bundled)")
-    p.add_argument("--regime", metavar="NAME", help="apply this interest-weighting regime")
+    _add_weights(p, regime=True)
     p.set_defaults(handler=_cmd_proportion)
 
     p = sub.add_parser("tail", help="exact binomial tail probability P(X >= k)")
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="per-trial success probability")
     p.add_argument("--trials", type=int, metavar="N",
                    help="also report a Monte Carlo estimate from N simulated draws")
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="simulation seed (default: 0)")
     _add_format(p)
     p.set_defaults(handler=_cmd_tail)
 
@@ -94,14 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lists(p)
     _add_cutoff(p)
     _add_depths(p)
-    p.add_argument("--weights", metavar="PATH", help="weight regimes CSV (default: bundled)")
-    p.add_argument("--regime", metavar="NAME", help="apply this interest-weighting regime")
+    _add_weights(p, regime=True)
     _add_format(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("sensitivity", help="reports across every weighting regime")
     _add_population(p)
-    p.add_argument("--weights", metavar="PATH", help="weight regimes CSV (default: bundled)")
+    _add_weights(p, regime=False)
     _add_lists(p)
     _add_cutoff(p)
     _add_depths(p)
@@ -151,6 +149,12 @@ def _add_depths(p: argparse.ArgumentParser) -> None:
                    help="rank depths to analyze (default: 10,25)")
 
 
+def _add_weights(p: argparse.ArgumentParser, regime: bool) -> None:
+    p.add_argument("--weights", metavar="PATH", help="weight regimes CSV (default: bundled)")
+    if regime:
+        p.add_argument("--regime", metavar="NAME", help="apply this interest-weighting regime")
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table",
                    help="output format (default: %(default)s)")
@@ -161,27 +165,20 @@ def _add_lists(p: argparse.ArgumentParser) -> None:
                    help="ranked list CSV, repeatable (default: the four bundled lists)")
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="simulation seed (default: 0)")
-
-
 def _depths_arg(text: str) -> tuple[int, ...]:
+    # str.split always gives at least one part, so the tuple is never empty
     try:
-        depths = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad depth list {text!r}, expected e.g. 10,25")
-    if not depths:
-        raise argparse.ArgumentTypeError("at least one depth is required")
-    return depths
 
 
 def _counts_arg(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for part in text.split(","):
-        left, sep, right = part.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"bad count {part!r}, expected depth:count")
         try:
+            # unpacking fails unless the part holds exactly one colon
+            left, right = part.split(":")
             pairs.append((int(left), int(right)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad count {part!r}, expected depth:count")
@@ -195,13 +192,13 @@ def _population_table(args):
 
 
 def _weight_regimes(args):
-    if getattr(args, "weights", None):
+    if args.weights:
         return load_weight_regimes(args.weights)
     return default_weight_regimes()
 
 
 def _pick_regime(args):
-    if not getattr(args, "regime", None):
+    if not args.regime:
         return None
     regimes = _weight_regimes(args)
     if args.regime not in regimes:
@@ -225,42 +222,22 @@ def _cmd_proportion(args) -> str:
 
 def _cmd_tail(args) -> str:
     probability = binomial_tail(args.n, args.k, args.p)
-    chance = chance_format(probability).display if probability > 0 else "-"
-    columns = ["probability", "chance"]
-    display = [format_probability(probability), chance]
-    payload = {"n": args.n, "k_min": args.k, "p": args.p,
-               "probability": probability, "chance": chance}
+    row = {
+        "probability": probability,
+        "chance": chance_format(probability).display if probability > 0 else "-",
+    }
+    simulated = {}
     if args.trials is not None:
-        estimate = float(monte_carlo_oracle(args.n, args.p, args.trials, args.seed)[args.k])
-        columns.append("monte_carlo")
-        display.append(format_probability(estimate))
-        payload["monte_carlo"] = estimate
-        payload["trials"] = args.trials
-        payload["seed"] = args.seed
+        oracle = monte_carlo_oracle(args.n, args.p, args.trials, args.seed)
+        row["monte_carlo"] = float(oracle[args.k])
+        simulated = {"trials": args.trials, "seed": args.seed}
     if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    return _render(columns, [display], args.format)
+        return _emit({"n": args.n, "k_min": args.k, "p": args.p, **row, **simulated}, "json")
+    return _emit([row], args.format)
 
 
-def _report_columns(with_regime: bool) -> list[str]:
-    columns = ["source", "depth", "early_count", "proportion", "probability", "chance"]
-    return ["regime", *columns] if with_regime else columns
-
-
-def _report_display(report, with_regime: bool) -> list[str]:
-    row = [
-        report.source,
-        str(report.depth),
-        str(report.early_count),
-        format_proportion(report.proportion_used),
-        format_probability(report.tail_probability),
-        report.chance.display,
-    ]
-    return [report.regime, *row] if with_regime else row
-
-
-def _report_payload(report, with_regime: bool) -> dict:
-    payload = {
+def _report_row(report) -> dict:
+    return {
         "source": report.source,
         "depth": report.depth,
         "early_count": report.early_count,
@@ -268,27 +245,18 @@ def _report_payload(report, with_regime: bool) -> dict:
         "probability": report.tail_probability,
         "chance": report.chance.display,
     }
-    return {"regime": report.regime, **payload} if with_regime else payload
-
-
-def _render_reports(reports, with_regime: bool, fmt: str) -> str:
-    if fmt == "json":
-        rows = [_report_payload(r, with_regime) for r in reports]
-        return json.dumps(rows, indent=2) + "\n"
-    display = [_report_display(r, with_regime) for r in reports]
-    return _render(_report_columns(with_regime), display, fmt)
 
 
 def _cmd_analyze(args) -> str:
     table = _population_table(args)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
-    reports = [
-        analyze(ranked, depth, args.cutoff, table, regime)
+    rows = [
+        _report_row(analyze(ranked, depth, args.cutoff, table, regime))
         for depth in args.depths
         for ranked in lists
     ]
-    return _render_reports(reports, with_regime=False, fmt=args.format)
+    return _emit(rows, args.format)
 
 
 def _cmd_sensitivity(args) -> str:
@@ -296,13 +264,13 @@ def _cmd_sensitivity(args) -> str:
     regimes = list(_weight_regimes(args).values())
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
-    return _render_reports(reports, with_regime=True, fmt=args.format)
+    return _emit([{"regime": r.regime, **_report_row(r)} for r in reports], args.format)
 
 
 def _cmd_bridge(args) -> str:
     table = _population_table(args)
     reports = bridge_check(args.counts, args.pool_cutoff, args.cutoff, table)
-    return _render_reports(reports, with_regime=False, fmt=args.format)
+    return _emit([_report_row(r) for r in reports], args.format)
 
 
 def _cmd_dilution(args) -> str:
@@ -311,28 +279,17 @@ def _cmd_dilution(args) -> str:
         seasons = build_league_seasons(load_league_config(args.league), table)
     else:
         seasons = default_league_seasons(table)
-    columns = ["year", "teams", "roster_size", "population_millions", "per_roster_spot_thousands"]
-    display = []
-    payload = []
-    for season in seasons:
-        value = per_roster_spot(season)
-        display.append([
-            str(season.year),
-            str(season.teams),
-            str(season.roster_size),
-            f"{season.eligible_population:g}",
-            format_per_roster_spot(value),
-        ])
-        payload.append({
+    rows = [
+        {
             "year": season.year,
             "teams": season.teams,
             "roster_size": season.roster_size,
             "population_millions": season.eligible_population,
-            "per_roster_spot_thousands": value,
-        })
-    if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    return _render(columns, display, args.format)
+            "per_roster_spot_thousands": per_roster_spot(season),
+        }
+        for season in seasons
+    ]
+    return _emit(rows, args.format)
 
 
 def _cmd_detrend(args) -> str:
@@ -341,29 +298,42 @@ def _cmd_detrend(args) -> str:
         historic = args.historic_average
     else:
         historic = compute_historic_average(s.league_average for s in stats)
-    detrended = [detrend_value(s.value, s.league_average, historic) for s in stats]
-    total = detrend_career(stats, historic)
-    columns = ["season", "value", "league_average", "detrended"]
-    display = [
-        [str(s.season), f"{s.value:g}", f"{s.league_average:g}", f"{d:g}"]
-        for s, d in zip(stats, detrended)
+    rows = [
+        {"season": s.season, "value": s.value, "league_average": s.league_average,
+         "detrended": detrend_value(s.value, s.league_average, historic)}
+        for s in stats
     ]
+    total = detrend_career(stats, historic)
     if args.format == "json":
-        payload = {
-            "historic_average": historic,
-            "seasons": [
-                {"season": s.season, "value": s.value,
-                 "league_average": s.league_average, "detrended": d}
-                for s, d in zip(stats, detrended)
-            ],
-            "career_total": total,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _emit({"historic_average": historic, "seasons": rows, "career_total": total},
+                     "json")
+    body = _emit(rows, args.format)
     if args.format == "csv":
-        body = _render(columns, display, "csv")
         return body + f"career_total,,,{total:g}\n"
-    body = _render(columns, display, "table")
     return body + f"\nhistoric_average  {historic:g}\ncareer_total      {total:g}\n"
+
+
+def _cell(column: str, value) -> str:
+    """Display text of one value.  The formatters are looked up as module
+    globals at each call, so a wrapper installed there (as the benchmark
+    tracer does) sees every call."""
+    if column == "proportion":
+        return format_proportion(value)
+    if column in ("probability", "monte_carlo"):
+        return format_probability(value)
+    if column == "per_roster_spot_thousands":
+        return format_per_roster_spot(value)
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def _emit(rows, fmt: str) -> str:
+    """Render ``rows``, dicts of raw values keyed by column name, in ``fmt``."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    columns = list(rows[0])
+    return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
 
 
 def _render(columns, rows, fmt: str) -> str:

@@ -43,7 +43,5 @@ def default_ranked_lists() -> list[RankedList]:
     return [load_ranked_list(data_path(f"{name}.csv")) for name in DEFAULT_LIST_NAMES]
 
 
-def default_league_seasons(table: PopulationTable | None = None) -> list[LeagueSeason]:
-    if table is None:
-        table = default_population_table()
+def default_league_seasons(table: PopulationTable) -> list[LeagueSeason]:
     return build_league_seasons(load_league_config(data_path("league_config.csv")), table)

@@ -56,31 +56,14 @@ def compute_historic_average(league_averages: Iterable[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def detrend_career(
-    stats: Sequence[SeasonStat],
-    historic_average: float | None = None,
-    league_universe: Sequence[SeasonStat] | None = None,
-) -> float:
+def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None = None) -> float:
     """Sum of detrended season values.
 
     ``historic_average`` defaults to the mean of the league averages carried
-    by ``stats`` themselves.  When ``league_universe`` is given, each season
-    in ``stats`` must agree with the universe's league average for that
-    season.
+    by ``stats`` themselves.
     """
     if not stats:
         raise DomainError("career detrending needs at least one season")
-    if league_universe is not None:
-        by_season = {s.season: s.league_average for s in league_universe}
-        for s in stats:
-            expected = by_season.get(s.season)
-            if expected is None:
-                raise DataError(f"season {s.season} is missing from the league universe")
-            if expected != s.league_average:
-                raise DataError(
-                    f"season {s.season}: league average {s.league_average!r} "
-                    f"disagrees with the universe value {expected!r}"
-                )
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
     return math.fsum(

@@ -1,11 +1,16 @@
-"""Talent dilution: eligible population per major-league roster spot."""
+"""Talent dilution: eligible population per major-league roster spot.
+
+The per-spot figures display through ``formatting.half_up``, the exact
+half-up rule the "1 in N" figures use, with whole numbers from 100 up.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import DataError, DomainError
+from .formatting import half_up
 from .population import PopulationTable, parse_int, read_rows
 
 
@@ -37,20 +42,19 @@ class LeagueSeason:
 def per_roster_spot(season: LeagueSeason) -> float:
     """Eligible people per roster spot, in thousands."""
     spots = season.teams * season.roster_size
-    return season.eligible_population * 1e6 / spots / 1e3
+    value = season.eligible_population * 1e6 / spots / 1e3
+    if math.isinf(value):
+        raise DomainError(f"{season.year}: people per roster spot overflow a double")
+    return value
 
 
 def format_per_roster_spot(value: float) -> str:
-    """Display rule: one decimal below 100 with a trailing ".0" dropped,
-    whole numbers from 100 up.
+    """Display rule: the exact value rounded half up, to tenths below 100
+    with a trailing ".0" dropped, to a whole number from 100 up.
     """
-    if not value > 0:
-        raise DomainError(f"per-roster-spot value must be positive, got {value!r}")
-    if value < 100:
-        rounded = Decimal(value).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-        text = str(rounded)
-        return text[:-2] if text.endswith(".0") else text
-    return str(Decimal(value).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+    if not value > 0 or math.isinf(value):
+        raise DomainError(f"per-roster-spot value must be positive and finite, got {value!r}")
+    return half_up(*value.as_integer_ratio(), 100)
 
 
 def load_league_config(path) -> list[tuple[int, int, int]]:

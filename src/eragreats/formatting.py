@@ -2,7 +2,9 @@
 
 All report rendering is positional (never scientific notation) so that
 small tail probabilities read like "0.0000057" and proportions like
-"0.187".
+"0.187".  ``half_up`` is the one rounding rule behind the "1 in N"
+figures and the dilution table: exact, half up, whole numbers from a
+threshold up and tenths below it.
 """
 
 from __future__ import annotations
@@ -21,17 +23,29 @@ def format_probability(value: float, significant: int = 3) -> str:
     if value == 0:
         return "0"
     exponent = math.floor(math.log10(abs(value)))
-    decimals = significant - 1 - exponent
-    rounded = round(value, decimals)
+    places = significant - 1 - exponent
+    rounded = round(value, places)
     # rounding can carry into the next power of ten (0.0999.. -> 0.100)
     if rounded != 0 and math.floor(math.log10(abs(rounded))) != exponent:
-        decimals -= 1
-        rounded = round(value, decimals)
-    return f"{rounded:.{max(0, decimals)}f}"
+        places -= 1
+        rounded = round(value, places)
+    return f"{rounded:.{max(0, places)}f}"
 
 
 def format_proportion(value: float) -> str:
-    """Population shares display with three decimal places."""
+    """Population shares display with three digits after the point."""
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"value must be finite, got {value!r}")
     return f"{value:.3f}"
+
+
+def half_up(num: int, den: int, whole_from: int) -> str:
+    """``num / den`` (positive integers) rounded half up in exact integer
+    arithmetic: to a whole number when it is ``whole_from`` or more, to
+    tenths below that, where a ".0" is dropped.
+    """
+    # floor(x + 1/2) rounds x half up
+    if num >= whole_from * den:
+        return str((2 * num + den) // (2 * den))
+    whole, tenth = divmod((20 * num + den) // (2 * den), 10)
+    return str(whole) if tenth == 0 else f"{whole}.{tenth}"

@@ -12,7 +12,8 @@ both the numerator and the denominator, which models era-dependent talent
 pull without changing the total-share normalization.  The share functions
 take the regime as an optional ``regime=`` argument.
 
-``read_rows`` is the one CSV reader every loader in the package uses.
+``read_rows`` is the one CSV reader every loader in the package uses;
+each data row must be as wide as the file's header.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DataError, DomainError
@@ -93,8 +95,8 @@ class PopulationTable:
 class WeightRegime:
     """Per-period interest weights, keyed by period end year.
 
-    Weights live in [0, 1].  Treat ``weights`` as read-only after
-    construction.
+    Weights live in [0, 1].  ``weights`` is a read-only copy of the
+    mapping given at construction.
     """
 
     name: str
@@ -103,6 +105,7 @@ class WeightRegime:
     def __post_init__(self):
         if not self.name:
             raise DataError("weight regime needs a non-empty name")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         for year, w in self.weights.items():
             if not 0.0 <= w <= 1.0:
                 raise DataError(
@@ -186,15 +189,15 @@ def cumulative_proportion(
     return numerator / denominator
 
 
-def read_rows(path, header, parse_row, build=list, widths=None):
+def read_rows(path, header, parse_row, build=list):
     """Read the CSV file at ``path`` and return ``build(rows)``, where
     ``rows`` holds ``parse_row(cells)`` for each non-blank data row.
 
     ``header`` is the expected header, such as ``"year,teams,roster_size"``,
     which the stripped header cells must spell; or a callable that takes
     those cells and raises DataError when they are wrong.  A data row must
-    have one of ``widths`` cells (default: as many as the header), and its
-    cells reach ``parse_row`` stripped.  A DataError from any step gains
+    have as many cells as the header, and its cells reach ``parse_row``
+    stripped.  A DataError from any step gains
     the path, plus the line when the header or a row is at fault.
     """
     path = Path(path)
@@ -203,6 +206,8 @@ def read_rows(path, header, parse_row, build=list, widths=None):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse file: {exc}", path=path) from None
     if not rows:
         raise DataError("file is empty", path=path)
     names = [cell.strip() for cell in rows[0]]
@@ -215,16 +220,14 @@ def read_rows(path, header, parse_row, build=list, widths=None):
         raise DataError(
             f"expected header {header!r}, got {','.join(rows[0])!r}", path=path, line=1
         )
-    widths = widths or (len(names),)
     parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         cells = [cell.strip() for cell in row]
         if not any(cells):
             continue
         try:
-            if len(cells) not in widths:
-                expected = " or ".join(map(str, widths))
-                raise DataError(f"expected {expected} columns, got {len(cells)}")
+            if len(cells) != len(names):
+                raise DataError(f"expected {len(names)} columns, got {len(cells)}")
             parsed.append(parse_row(cells))
         except DataError as exc:
             raise DataError(str(exc), path=path, line=lineno) from None
@@ -254,13 +257,14 @@ def parse_float(cell: str, what: str) -> float:
 def load_population_table(path) -> PopulationTable:
     """Read a population table from CSV.
 
-    Expected columns: ``year,population_millions[,period_length_years]``.
-    The length column is optional and defaults to 10; an empty cell also
-    means 10.
+    Expected columns: ``year,population_millions[,period_length_years]``,
+    and every row as wide as the header.  The length column is optional
+    and defaults to 10; an empty cell also means 10.
     """
+    columns = ["year", "population_millions", "period_length_years"]
 
     def check_header(names):
-        if names[:2] != ["year", "population_millions"]:
+        if names not in (columns[:2], columns):
             raise DataError(
                 "expected header 'year,population_millions[,period_length_years]', "
                 f"got {','.join(names)!r}"
@@ -274,9 +278,7 @@ def load_population_table(path) -> PopulationTable:
             length = parse_int(cells[2], "period_length_years")
         return PopulationRecord(year, population, length)
 
-    return read_rows(
-        path, check_header, parse, lambda records: PopulationTable(tuple(records)), (2, 3)
-    )
+    return read_rows(path, check_header, parse, lambda records: PopulationTable(tuple(records)))
 
 
 def load_weight_regimes(path) -> dict[str, WeightRegime]:
@@ -303,6 +305,8 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
         return year, [parse_float(cell, f"weight {name!r}") for name, cell in zip(names, cells[1:])]
 
     def build(rows):
+        if not rows:
+            raise DataError("no weight rows found")
         return {
             name: WeightRegime(name, {year: weights[i] for year, weights in rows})
             for i, name in enumerate(names)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,12 +80,3 @@ def load_ranked_list(path, source: str | None = None) -> RankedList:
         lambda entries: RankedList(source or Path(path).stem, tuple(entries)),
     )
 
-
-def dump_ranked_list(ranked: RankedList) -> str:
-    """Serialize a list back to CSV text; inverse of :func:`load_ranked_list`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "name", "career_start_year"])
-    for e in ranked.entries:
-        writer.writerow([e.rank, e.name, e.career_start_year])
-    return buf.getvalue()

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .formatting import half_up
 
 MAX_TRIALS = 1000
 
@@ -143,16 +144,13 @@ def _exact_tail(n: int, k_min: int, p: float) -> float:
 def chance_format(probability: float) -> Chance:
     """Render a probability as a "1 in N" string.
 
-    N is the exact reciprocal of the double, rounded half up: to a whole
-    number when it is 10 or more, to one decimal place below 10.  A
-    one-decimal value that lands on a whole number drops the ".0" (so a
-    certainty prints as "1 in 1", not "1 in 1.0").
+    N is the exact reciprocal of the double, rounded half up by
+    ``formatting.half_up``: to a whole number when it is 10 or more, to
+    tenths below 10, dropping a ".0" (so a certainty prints as "1 in 1",
+    not "1 in 1.0").
     """
     if math.isnan(probability) or not 0.0 < probability <= 1.0:
         raise DomainError(f"probability must be in (0, 1], got {probability!r}")
-    # the reciprocal is den / num exactly; floor(x + 1/2) rounds x half up
+    # the reciprocal is den / num exactly
     num, den = probability.as_integer_ratio()
-    if den >= 10 * num:
-        return Chance(probability, f"1 in {(2 * den + num) // (2 * num)}")
-    whole, tenth = divmod((20 * den + num) // (2 * num), 10)
-    return Chance(probability, f"1 in {whole}" if tenth == 0 else f"1 in {whole}.{tenth}")
+    return Chance(probability, f"1 in {half_up(den, num, 10)}")

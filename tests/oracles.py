@@ -193,11 +193,16 @@ def tail_tolerance(n: int, p: float, exact: Fraction) -> float:
     return 4 * math.ulp(float(exact)) + float(n * q_error * exact)
 
 
+def rounded_half_up(value: Fraction, whole_from) -> str:
+    """``value`` rounded half up: to a whole number from ``whole_from`` on,
+    to one decimal below it, dropping a trailing ".0"."""
+    if value >= whole_from:
+        return str(math.floor(value + Fraction(1, 2)))
+    whole, tenth = divmod(math.floor(10 * value + Fraction(1, 2)), 10)
+    return str(whole) if tenth == 0 else f"{whole}.{tenth}"
+
+
 def one_in_n(probability) -> str:
     """ "1 in N" with N the exact reciprocal rounded half up: to a whole
     number from 10 on, to one decimal below 10, dropping a trailing ".0"."""
-    reciprocal = 1 / Fraction(probability)
-    if reciprocal >= 10:
-        return f"1 in {math.floor(reciprocal + Fraction(1, 2))}"
-    whole, tenth = divmod(math.floor(10 * reciprocal + Fraction(1, 2)), 10)
-    return f"1 in {whole}" if tenth == 0 else f"1 in {whole}.{tenth}"
+    return f"1 in {rounded_half_up(1 / Fraction(probability), 10)}"

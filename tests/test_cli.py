@@ -2,12 +2,18 @@
 and byte-for-byte determinism across repeated runs.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from eragreats import cli
 from oracles import exact_binomial_tail, one_in_n
 
 ANALYZE_CSV = """\
@@ -228,14 +234,117 @@ def test_input_data_errors_exit_3(tmp_path):
     assert "seasons.csv:2" in result.stderr
 
 
-def test_domain_errors_exit_4():
+def test_domain_errors_exit_4(tmp_path):
     assert run_cli("proportion", "--cutoff", "3000").returncode == 4
     assert run_cli("tail", "--n", "10", "--k", "20", "--p", "0.5").returncode == 4
     assert run_cli("tail", "--n", "10", "--k", "2", "--p", "1.5").returncode == 4
     assert run_cli("analyze", "--depths", "26").returncode == 4
+    # people per roster spot overflow a double past about 1.8e302 million
+    population = tmp_path / "population.csv"
+    population.write_text("year,population_millions\n1890,2e302\n")
+    league = tmp_path / "league.csv"
+    league.write_text("year,teams,roster_size\n1890,8,15\n")
+    assert run_cli(
+        "dilution", "--population", str(population), "--league", str(league)
+    ).returncode == 4
 
 
 def test_errors_go_to_stderr_not_stdout():
     result = run_cli("proportion", "--cutoff", "3000")
     assert result.stdout == ""
     assert "3000" in result.stderr
+
+
+# ------------------------------------------------------ CLI contract
+
+# numbers at and past the edge of every domain, and text that is none
+NUMBER = st.one_of(
+    st.integers(-10**25, 10**25).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e309", "2e302", "5e-324", "1_0", "0x10", "ten"]),
+)
+YEAR = st.one_of(st.integers(1860, 2030).map(str), NUMBER)
+COUNT = st.one_of(st.integers(-2, 1010).map(str), NUMBER)
+SHARE = st.one_of(st.floats(0, 1).map(repr), NUMBER)
+CELL = st.one_of(st.integers(0, 2030).map(str), st.floats(0, 1e3).map(repr), NUMBER)
+FORMAT = st.sampled_from(["table", "csv", "json"])
+
+
+def csv_file(header):
+    """Bytes of a CSV file: the header or a shuffle of it, then rows of
+    edge numbers whose widths vary; or raw bytes; or None for a file that
+    does not exist."""
+    columns = header.split(",")
+    width = len(columns)
+    row = st.one_of(st.lists(CELL, min_size=width, max_size=width),
+                    st.lists(CELL, min_size=width - 1, max_size=width + 1))
+    text = st.tuples(
+        st.one_of(st.just(columns), st.permutations(columns)), st.lists(row, max_size=4)
+    ).map(lambda parts: "".join(",".join(cells) + "\n" for cells in [parts[0], *parts[1]]))
+    return st.one_of(text.map(str.encode), st.binary(max_size=40), st.none())
+
+
+POPULATION = csv_file("year,population_millions,period_length_years")
+WEIGHTS = csv_file("year,w1,w2")
+LIST = csv_file("rank,name,career_start_year")
+DEPTHS = st.lists(COUNT, min_size=1, max_size=3).map(",".join)
+REPORT_OPTIONS = {"--population": POPULATION, "--list": LIST, "--cutoff": YEAR,
+                  "--depths": DEPTHS, "--weights": WEIGHTS, "--format": FORMAT}
+REGIME = st.sampled_from(["w1", "w4", "w9", ""])
+
+# subcommand -> (required arguments, optional ones); a positional has key ""
+COMMANDS = {
+    "proportion": ({}, {"--population": POPULATION, "--cutoff": YEAR,
+                        "--weights": WEIGHTS, "--regime": REGIME}),
+    # --trials allocates that many doubles, so it stays at most 1e5
+    "tail": ({"--n": COUNT, "--k": COUNT, "--p": SHARE},
+             {"--trials": st.integers(-2, 10**5).map(str), "--seed": COUNT,
+              "--format": FORMAT}),
+    "analyze": ({}, {**REPORT_OPTIONS, "--regime": REGIME}),
+    "sensitivity": ({}, REPORT_OPTIONS),
+    "bridge": ({}, {"--population": POPULATION, "--cutoff": YEAR, "--pool-cutoff": YEAR,
+                    "--counts": st.lists(st.tuples(COUNT, COUNT).map(":".join),
+                                         min_size=1, max_size=2).map(",".join),
+                    "--format": FORMAT}),
+    "dilution": ({}, {"--population": POPULATION,
+                      "--league": csv_file("year,teams,roster_size"), "--format": FORMAT}),
+    "detrend": ({"": csv_file("season,value,league_average")},
+                {"--historic-average": NUMBER, "--format": FORMAT}),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    argv = [command]
+    for flag, value in draw(st.fixed_dictionaries(required, optional=optional)).items():
+        argv += [flag, value] if flag else [value]
+    return argv
+
+
+@settings(max_examples=200)
+@given(invocations())
+# people per roster spot that overflow a double
+@example(["dilution", "--population", b"year,population_millions\n1890,2e302\n",
+          "--league", b"year,teams,roster_size\n1890,8,15\n"])
+@example(["tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", "10", "--seed", "-1"])
+@example(["proportion", "--population", b"\xff\xfe"])
+@example(["detrend", b"season,value,league_average\n" + b"1" * 200_000 + b"\n"])
+def test_every_invocation_ends_with_a_documented_exit_code(argv):
+    with tempfile.TemporaryDirectory() as directory:
+        args = []
+        for position, part in enumerate(argv):
+            if part is None or isinstance(part, bytes):
+                path = Path(directory) / f"input{position}.csv"
+                if part is not None:
+                    path.write_bytes(part)
+                part = str(path)
+            args.append(part)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3, 4), (code, stderr.getvalue())

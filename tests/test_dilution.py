@@ -1,7 +1,9 @@
 """Per-roster-spot dilution values and their display rule."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eragreats import (
     DataError,
@@ -13,6 +15,7 @@ from eragreats import (
     load_league_config,
     per_roster_spot,
 )
+from oracles import rounded_half_up
 
 
 def test_hand_computed_values():
@@ -49,6 +52,22 @@ def test_display_rule():
         format_per_roster_spot(0.0)
     with pytest.raises(DomainError):
         format_per_roster_spot(-1.0)
+    with pytest.raises(DomainError):
+        format_per_roster_spot(float("inf"))
+
+
+@given(st.floats(min_value=5e-324, allow_infinity=False))
+@example(8.333333333333333e300)  # 1e300 million people over 8 teams of 15
+@example(99.95)  # the double sits just above 99.95: up to a whole 100
+@example(99.85)  # the double sits just under 99.85: down to 99.8
+def test_display_is_the_exact_value_rounded_half_up(value):
+    assert format_per_roster_spot(value) == rounded_half_up(Fraction(value), 100)
+
+
+def test_overflowing_value_is_a_domain_error():
+    # about 1.8e302 million people and up overflow a double once in people
+    with pytest.raises(DomainError):
+        per_roster_spot(LeagueSeason(1890, 2e302, 8, 15))
 
 
 def test_bundled_league_history(table):

@@ -1,8 +1,13 @@
-"""Positional significant-figure rendering."""
+"""Positional significant-figure rendering and the half-up display rule."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eragreats import DomainError, format_probability, format_proportion
+from eragreats.formatting import half_up
+from oracles import rounded_half_up
 
 
 def test_three_significant_figures_positional():
@@ -47,3 +52,16 @@ def test_rejects_non_finite_and_bad_precision():
         format_probability(0.5, significant=0)
     with pytest.raises(DomainError):
         format_proportion(float("nan"))
+
+
+@given(
+    num=st.integers(1, 10**40),
+    den=st.integers(1, 10**40),
+    whole_from=st.sampled_from([10, 100]),
+)
+@example(num=1, den=20, whole_from=10)  # 0.05 is a tie: up to 0.1
+@example(num=199, den=2, whole_from=100)  # 99.5 stays in tenths
+@example(num=1999, den=20, whole_from=100)  # 99.95 rounds up to a whole 100
+@example(num=201, den=2, whole_from=100)  # 100.5 is a tie: up to 101
+def test_half_up_matches_exact_rounding(num, den, whole_from):
+    assert half_up(num, den, whole_from) == rounded_half_up(Fraction(num, den), whole_from)

@@ -31,6 +31,7 @@ CASES = {
     "inf": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('inf')}\n", 3),
     "column-count": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('1,1,1')}\n", 3),
     "header": (lambda h, r1, r2: f"wrong,header\n{r1}\n", 1),
+    "header-only": (lambda h, r1, r2: f"{h}\n", None),
     "empty": (lambda h, r1, r2: "", None),
     "missing": (None, None),
 }

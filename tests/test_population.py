@@ -110,7 +110,12 @@ def test_weighted_population_scales_each_period(table, regimes):
 
 def test_uniform_weights_reduce_to_unweighted(table):
     for value in (1.0, 0.37):
-        uniform = WeightRegime("uniform", {year: value for year in table.years})
+        given_weights = {year: value for year in table.years}
+        uniform = WeightRegime("uniform", given_weights)
+        # the regime keeps a read-only copy: neither edit below reaches it
+        with pytest.raises(TypeError):
+            uniform.weights[1880] = -50.0
+        given_weights[1880] = -50.0
         for cutoff in (1871, 1875, 1950, 1999, 2015):
             weighted = cumulative_proportion(table, cutoff, regime=uniform)
             plain = cumulative_proportion(table, cutoff)

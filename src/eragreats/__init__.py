@@ -16,9 +16,6 @@ from .analysis import (
     sensitivity_matrix,
 )
 from .defaults import (
-    DEFAULT_CUTOFF_YEAR,
-    DEFAULT_DEPTHS,
-    DEFAULT_POOL_CUTOFF_YEAR,
     default_league_seasons,
     default_population_table,
     default_ranked_lists,
@@ -58,9 +55,6 @@ __all__ = [
     "Chance",
     "DataError",
     "DomainError",
-    "DEFAULT_CUTOFF_YEAR",
-    "DEFAULT_DEPTHS",
-    "DEFAULT_POOL_CUTOFF_YEAR",
     "EraGreatsError",
     "LeagueSeason",
     "OverrepReport",

@@ -9,15 +9,21 @@ pool (an exact binomial tail).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
 from .rankings import RankedList, count_early
 from .tailprob import Chance, binomial_tail, chance_format
+
+if TYPE_CHECKING:
+    import numpy
+
+# run time grows with the draws: 10**8 take about 7 s on one Xeon core
+_MAX_SIMULATED_TRIALS = 10**8
+_DRAW_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -74,17 +80,12 @@ def analyze(
     the raw population share.  The proportion flows into the binomial tail
     at full precision.
     """
-    _check_span(ranked, table)
-    proportion = cumulative_proportion(table, cutoff_year, regime=regime)
-    early = count_early(ranked, depth, cutoff_year)
-    return _report(
-        ranked.source, depth, early, proportion, None if regime is None else regime.name
-    )
+    return sensitivity_matrix([ranked], [regime], [depth], cutoff_year, table)[0]
 
 
 def sensitivity_matrix(
     lists: Sequence[RankedList],
-    regimes: Sequence[WeightRegime],
+    regimes: Sequence[WeightRegime | None],
     depths: Sequence[int],
     cutoff_year: int,
     table: PopulationTable,
@@ -92,7 +93,14 @@ def sensitivity_matrix(
     """Reports for every (regime, depth, list) combination.
 
     Row order is regimes in the given order, then depths in the given
-    order, then lists in the given order.
+    order, then lists in the given order.  A ``None`` regime gives the
+    unweighted reports.
+
+    Each cell needs its list's span check, its regime's share and its
+    (list, depth) early count, in that order.  Each is computed the first
+    time a cell needs it and reused after, so the checks run in the order
+    that checking every cell afresh would run them, and the first error
+    is the same.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -100,12 +108,23 @@ def sensitivity_matrix(
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
-    return [
-        analyze(ranked, depth, cutoff_year, table, regime)
-        for regime in regimes
-        for depth in depths
-        for ranked in lists
-    ]
+    checked: set[int] = set()
+    early: dict[tuple[int, int], int] = {}
+    reports = []
+    for regime in regimes:
+        proportion = None
+        name = None if regime is None else regime.name
+        for depth in depths:
+            for i, ranked in enumerate(lists):
+                if i not in checked:
+                    _check_span(ranked, table)
+                    checked.add(i)
+                if proportion is None:
+                    proportion = cumulative_proportion(table, cutoff_year, regime=regime)
+                if (i, depth) not in early:
+                    early[i, depth] = count_early(ranked, depth, cutoff_year)
+                reports.append(_report(ranked.source, depth, early[i, depth], proportion, name))
+    return reports
 
 
 def bridge_check(
@@ -133,11 +152,13 @@ def bridge_check(
     return [_report("external", depth, early, era / pool) for depth, early in counts]
 
 
-def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> np.ndarray:
+def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:
     """Empirical tail estimates from simulated binomial draws.
 
     Returns an array of length ``depth + 1`` whose entry k estimates
-    P(X >= k).  Fully determined by ``seed``.
+    P(X >= k).  Fully determined by ``seed``.  ``trials`` is at most
+    10**8; the draws are taken in fixed chunks, which bounds memory and
+    gives the same draws as one call.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise DomainError(f"depth must be a positive integer, got {depth!r}")
@@ -145,10 +166,17 @@ def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> np.ndarr
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if np.isnan(p) or not 0.0 <= p <= 1.0:
+    if math.isnan(p) or not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
+    if trials > _MAX_SIMULATED_TRIALS:
+        raise DomainError(f"trials must be at most {_MAX_SIMULATED_TRIALS}, got {trials!r}")
+    # numpy costs about 100 ms to import, and only the simulation needs it
+    import numpy as np
+
     rng = np.random.default_rng(seed)
-    draws = rng.binomial(depth, p, size=trials)
-    counts = np.bincount(draws, minlength=depth + 1)
+    counts = np.zeros(depth + 1, dtype=np.int64)
+    for start in range(0, trials, _DRAW_CHUNK):
+        draws = rng.binomial(depth, p, size=min(_DRAW_CHUNK, trials - start))
+        counts += np.bincount(draws, minlength=depth + 1)
     at_least = counts[::-1].cumsum()[::-1]
     return at_least / trials

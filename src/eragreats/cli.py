@@ -17,7 +17,7 @@ import io
 import json
 import sys
 
-from .analysis import analyze, bridge_check, monte_carlo_oracle, sensitivity_matrix
+from .analysis import bridge_check, monte_carlo_oracle, sensitivity_matrix
 from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
@@ -251,12 +251,8 @@ def _cmd_analyze(args) -> str:
     table = _population_table(args)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
-    rows = [
-        _report_row(analyze(ranked, depth, args.cutoff, table, regime))
-        for depth in args.depths
-        for ranked in lists
-    ]
-    return _emit(rows, args.format)
+    reports = sensitivity_matrix(lists, [regime], args.depths, args.cutoff, table)
+    return _emit([_report_row(r) for r in reports], args.format)
 
 
 def _cmd_sensitivity(args) -> str:

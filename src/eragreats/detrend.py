@@ -33,7 +33,10 @@ class SeasonStat:
 
 
 def detrend_value(value: float, league_average: float, historic_average: float) -> float:
-    """Rescale one value: ``value * historic_average / league_average``."""
+    """Rescale one value: ``value * historic_average / league_average``.
+
+    A result that overflows a double raises DomainError.
+    """
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"value must be finite, got {value!r}")
     if not league_average > 0 or math.isinf(league_average):
@@ -42,7 +45,21 @@ def detrend_value(value: float, league_average: float, historic_average: float) 
         raise DomainError(
             f"historic average must be positive and finite, got {historic_average!r}"
         )
-    return value * historic_average / league_average
+    detrended = value * historic_average / league_average
+    if math.isinf(detrended):
+        raise DomainError(
+            f"detrended value {value!r} * {historic_average!r} / {league_average!r} "
+            f"overflows a double"
+        )
+    return detrended
+
+
+def _sum(values: Iterable[float], what: str) -> float:
+    """``math.fsum`` of finite values, with its overflow as a DomainError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise DomainError(f"{what} overflows a double") from None
 
 
 def compute_historic_average(league_averages: Iterable[float]) -> float:
@@ -53,7 +70,7 @@ def compute_historic_average(league_averages: Iterable[float]) -> float:
     for v in values:
         if not v > 0 or math.isinf(v) or math.isnan(v):
             raise DomainError(f"league averages must be positive and finite, got {v!r}")
-    return math.fsum(values) / len(values)
+    return _sum(values, "sum of league averages") / len(values)
 
 
 def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None = None) -> float:
@@ -66,8 +83,9 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
         raise DomainError("career detrending needs at least one season")
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
-    return math.fsum(
-        detrend_value(s.value, s.league_average, historic_average) for s in stats
+    return _sum(
+        (detrend_value(s.value, s.league_average, historic_average) for s in stats),
+        "career total",
     )
 
 

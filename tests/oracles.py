@@ -13,6 +13,11 @@ enumeration oracle it imports nothing from the package.
 ``reference_binomial_tail`` keeps the package's original tail kernel
 (a fresh ``math.comb`` per term, then the exact-rational fallback) as
 the reference the faster kernel must match bit for bit.
+
+``per_cell_reports`` keeps the plain per-cell loop over a report grid
+(span check, share, early count and tail for every cell, nothing reused
+between cells), built from the package's own steps, as the reference
+the grid evaluator must match report for report and in its first error.
 """
 
 from __future__ import annotations
@@ -206,3 +211,22 @@ def one_in_n(probability) -> str:
     """ "1 in N" with N the exact reciprocal rounded half up: to a whole
     number from 10 on, to one decimal below 10, dropping a trailing ".0"."""
     return f"1 in {rounded_half_up(1 / Fraction(probability), 10)}"
+
+
+def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
+    """Reports for every (regime, depth, list) cell, in that order, each
+    cell running all its steps afresh; a ``None`` regime is unweighted."""
+    from eragreats.analysis import _check_span, _report
+    from eragreats.population import cumulative_proportion
+    from eragreats.rankings import count_early
+
+    reports = []
+    for regime in regimes:
+        for depth in depths:
+            for ranked in lists:
+                _check_span(ranked, table)
+                proportion = cumulative_proportion(table, cutoff_year, regime=regime)
+                early = count_early(ranked, depth, cutoff_year)
+                name = None if regime is None else regime.name
+                reports.append(_report(ranked.source, depth, early, proportion, name))
+    return reports

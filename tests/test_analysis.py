@@ -2,14 +2,18 @@
 ordering guarantees, the truncated-pool bridge, and the simulation oracle.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eragreats import (
+    DataError,
     DomainError,
     PlayerEntry,
     RankedList,
+    WeightRegime,
     analyze,
     binomial_tail,
     bridge_check,
@@ -19,7 +23,7 @@ from eragreats import (
     monte_carlo_oracle,
     sensitivity_matrix,
 )
-from oracles import enumerated_tail
+from oracles import enumerated_tail, per_cell_reports
 
 
 def test_analyze_composes_the_pieces(table, lists_by_name):
@@ -106,6 +110,82 @@ def test_reports_are_self_consistent(table, regimes, ranked_lists):
         assert report.chance.display.startswith("1 in ")
 
 
+# -------------------------------------------------------- grid evaluator
+
+def bits(value):
+    """``value`` with every float as ``float.hex``, so equal is bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+def outcome(evaluate, *args):
+    """Every field of every report, or the class and text of the error."""
+    try:
+        return [bits(astuple(report)) for report in evaluate(*args)]
+    except (DataError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def faulty_regimes(table, regimes):
+    """A regime missing the table's first year, and one of zero weights."""
+    short = {year: w for year, w in regimes["w1"].weights.items() if year != table.years[0]}
+    return {"short": WeightRegime("short", short),
+            "zero": WeightRegime("zero", dict.fromkeys(table.years, 0.0))}
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_grid_matches_per_cell_loop(table, regimes, data):
+    # inputs mostly valid, each axis with its own way to fail: a stray
+    # start year, a depth past a list's length, a faulty regime, a cutoff
+    # at or past the span's ends
+    years = st.integers(table.first_year + 1, table.final_year)
+    starts = data.draw(st.lists(st.lists(years, min_size=3, max_size=6), min_size=1, max_size=3))
+    stray = data.draw(st.sampled_from([None, None, None, table.first_year, table.final_year + 1]))
+    if stray is not None:
+        starts[data.draw(st.integers(0, len(starts) - 1))][-1] = stray
+    lists = [
+        RankedList(f"l{j}", tuple(PlayerEntry(r, f"p{r}", y) for r, y in enumerate(s, 1)))
+        for j, s in enumerate(starts)
+    ]
+    choices = {"unweighted": None, **regimes, **faulty_regimes(table, regimes)}
+    names = data.draw(st.lists(st.sampled_from(list(choices)), min_size=1, max_size=3))
+    depths = data.draw(st.lists(st.sampled_from([1, 2, 3, 3, 7]), min_size=1, max_size=3))
+    outside = st.sampled_from([table.first_year, table.final_year + 1])
+    cutoff = data.draw(st.one_of(years, years, years, outside))
+    args = (lists, [choices[name] for name in names], depths, cutoff, table)
+    assert outcome(sensitivity_matrix, *args) == outcome(per_cell_reports, *args)
+
+
+@pytest.mark.parametrize("late_list", range(3))
+@pytest.mark.parametrize("short_regime", range(3))
+@pytest.mark.parametrize("deep_depth", range(2))
+def test_grid_raises_the_per_cell_loops_first_error(
+    table, regimes, ranked_lists, late_list, short_regime, deep_depth
+):
+    # an out-of-span player, a regime that does not match the table and a
+    # depth past the lists' length, each planted at one position
+    lists = list(ranked_lists[:3])
+    ranked = lists[late_list]
+    stray = PlayerEntry(len(ranked), "Stray Player", table.first_year)
+    lists[late_list] = RankedList(ranked.source, ranked.entries[:-1] + (stray,))
+    chosen = [regimes["w1"], regimes["w2"], regimes["w3"]]
+    chosen[short_regime] = faulty_regimes(table, regimes)["short"]
+    depths = [10, 25]
+    depths[deep_depth] = 26
+    args = (lists, chosen, depths, 1950, table)
+    expected = outcome(per_cell_reports, *args)
+    assert expected[0] in (DataError, DomainError)
+    assert outcome(sensitivity_matrix, *args) == expected
+    first_cell = (lists[0], depths[0], 1950, table, chosen[0])
+    assert outcome(lambda *cell: [analyze(*cell)], *first_cell) == outcome(
+        per_cell_reports, lists[:1], chosen[:1], depths[:1], 1950, table
+    )
+
+
 # --------------------------------------------------------------- bridge
 
 def test_bridge_uses_prorated_pool_ratio(table):
@@ -175,6 +255,19 @@ def test_oracle_validates_inputs():
         monte_carlo_oracle(5, 1.5, 100, 0)
     with pytest.raises(DomainError):
         monte_carlo_oracle(5, 0.5, 0, 0)
+    with pytest.raises(DomainError):
+        monte_carlo_oracle(5, 0.5, 10**8 + 1, 0)
+    with pytest.raises(DomainError):
+        monte_carlo_oracle(5, float("nan"), 100, 0)
+
+
+@pytest.mark.parametrize("depth, p, trials, seed", [
+    (10, 0.18696, 10**6, 0), (1000, 0.97, 200_001, 9), (5, 0.0, 70_000, 1), (200, 0.5, 65_536, 3),
+])
+def test_oracle_draws_in_chunks_as_in_one_call(depth, p, trials, seed):
+    draws = np.random.default_rng(seed).binomial(depth, p, size=trials)
+    at_least = np.bincount(draws, minlength=depth + 1)[::-1].cumsum()[::-1]
+    assert np.array_equal(monte_carlo_oracle(depth, p, trials, seed), at_least / trials)
 
 
 @given(

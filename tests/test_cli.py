@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eragreats import cli
-from oracles import exact_binomial_tail, one_in_n
+from eragreats.defaults import data_path
+from oracles import exact_binomial_tail, one_in_n, per_cell_reports
 
 ANALYZE_CSV = """\
 source,depth,early_count,proportion,probability,chance
@@ -46,12 +47,37 @@ year,teams,roster_size,population_millions,per_roster_spot_thousands
 """
 
 
+DETREND_OVERFLOW_SEASON = "season,value,league_average\n1922,1e300,1e-300\n"
+DETREND_OVERFLOW_CAREER = "season,value,league_average\n1922,1e308,1\n1923,1e308,1\n"
+DETREND_OVERFLOW_AVERAGE = "season,value,league_average\n1922,1,1e308\n1923,1,1e308\n"
+
+
 def run_cli(*argv, binary=False):
     return subprocess.run(
         [sys.executable, "-m", "eragreats", *argv],
         capture_output=True,
         text=not binary,
     )
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in process."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is most of a cold start, and only `tail --trials` needs it
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, eragreats.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_proportion_prints_three_decimals():
@@ -247,6 +273,52 @@ def test_domain_errors_exit_4(tmp_path):
     assert run_cli(
         "dilution", "--population", str(population), "--league", str(league)
     ).returncode == 4
+    # the simulation is capped at 10**8 draws, refused before any is taken
+    assert run_cli(
+        "tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", "100000001"
+    ).returncode == 4
+    # a detrended season, a career total and a historic average that overflow
+    for rows, extra in [(DETREND_OVERFLOW_SEASON, ["--historic-average", "1"]),
+                        (DETREND_OVERFLOW_CAREER, []),
+                        (DETREND_OVERFLOW_AVERAGE, [])]:
+        seasons = tmp_path / "seasons.csv"
+        seasons.write_text(rows)
+        result = run_cli("detrend", str(seasons), *extra, "--format", "json")
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("eragreats: ")
+        assert "overflows a double" in result.stderr
+
+
+def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
+    # each fault that the report grid finds, alone and behind another
+    stray = tmp_path / "stray.csv"
+    stray.write_text("rank,name,career_start_year\n1,Old Timer,1900\n2,Stray Player,1850\n")
+    header, first, *rest = data_path("weight_regimes.csv").read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join([header, *rest]) + "\n")
+    zero = tmp_path / "zero.csv"
+    rows = [line.split(",") for line in [first, *rest]]
+    zero.write_text("year,w1,zero\n" + "".join(f"{year},{w1},0\n" for year, w1, *_ in rows))
+    ranker = ["--list", str(data_path("ranker.csv"))]
+    invocations = [
+        ["analyze", "--list", str(stray)],
+        ["analyze", *ranker, "--list", str(stray), "--depths", "2,26"],
+        ["analyze", *ranker, "--list", str(stray), "--depths", "26"],
+        ["analyze", "--depths", "10,26"],
+        ["analyze", "--cutoff", "3000", "--list", str(stray)],
+        ["analyze", "--weights", str(short), "--regime", "w2"],
+        ["analyze", "--weights", str(zero), "--regime", "zero", "--depths", "26"],
+        ["sensitivity", "--weights", str(short)],
+        ["sensitivity", "--weights", str(zero)],
+        ["sensitivity", "--weights", str(zero), "--depths", "10,26"],
+        ["sensitivity", "--weights", str(short), *ranker, "--list", str(stray)],
+        ["sensitivity", "--cutoff", "1860", "--depths", "26"],
+    ]
+    grid = [run_main(argv) for argv in invocations]
+    monkeypatch.setattr(cli, "sensitivity_matrix", per_cell_reports)
+    assert grid == [run_main(argv) for argv in invocations]
+    assert {code for code, _, _ in grid} == {3, 4}
+    assert all(stdout == "" for _, stdout, _ in grid)
 
 
 def test_errors_go_to_stderr_not_stdout():
@@ -296,10 +368,12 @@ REGIME = st.sampled_from(["w1", "w4", "w9", ""])
 COMMANDS = {
     "proportion": ({}, {"--population": POPULATION, "--cutoff": YEAR,
                         "--weights": WEIGHTS, "--regime": REGIME}),
-    # --trials allocates that many doubles, so it stays at most 1e5
+    # --trials runs that many draws, so it stays at most 1e5 or lies past
+    # the 10**8 cap, which is refused before any draw
     "tail": ({"--n": COUNT, "--k": COUNT, "--p": SHARE},
-             {"--trials": st.integers(-2, 10**5).map(str), "--seed": COUNT,
-              "--format": FORMAT}),
+             {"--trials": st.one_of(st.integers(-2, 10**5),
+                                    st.integers(10**8 + 1, 10**30)).map(str),
+              "--seed": COUNT, "--format": FORMAT}),
     "analyze": ({}, {**REPORT_OPTIONS, "--regime": REGIME}),
     "sensitivity": ({}, REPORT_OPTIONS),
     "bridge": ({}, {"--population": POPULATION, "--cutoff": YEAR, "--pool-cutoff": YEAR,
@@ -331,6 +405,12 @@ def invocations(draw):
 @example(["tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", "10", "--seed", "-1"])
 @example(["proportion", "--population", b"\xff\xfe"])
 @example(["detrend", b"season,value,league_average\n" + b"1" * 200_000 + b"\n"])
+@example(["tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", str(10**8 + 1)])
+# a detrended season, a career total and a historic average that overflow
+@example(["detrend", DETREND_OVERFLOW_SEASON.encode(), "--historic-average", "1",
+          "--format", "json"])
+@example(["detrend", DETREND_OVERFLOW_CAREER.encode()])
+@example(["detrend", DETREND_OVERFLOW_AVERAGE.encode()])
 def test_every_invocation_ends_with_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as directory:
         args = []
@@ -341,10 +421,5 @@ def test_every_invocation_ends_with_a_documented_exit_code(argv):
                     path.write_bytes(part)
                 part = str(path)
             args.append(part)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(args)
-            except SystemExit as exc:
-                code = exc.code
-    assert code in (0, 2, 3, 4), (code, stderr.getvalue())
+        code, _, stderr = run_main(args)
+    assert code in (0, 2, 3, 4), (code, stderr)

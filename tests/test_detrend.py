@@ -54,6 +54,8 @@ def test_detrend_value_domain():
         detrend_value(float("nan"), 5.0, 5.0)
     with pytest.raises(DomainError):
         detrend_value(float("inf"), 5.0, 5.0)
+    with pytest.raises(DomainError):
+        detrend_value(1e300, 1e-300, 1.0)
 
 
 def test_historic_average_is_arithmetic_mean():
@@ -63,6 +65,8 @@ def test_historic_average_is_arithmetic_mean():
         compute_historic_average([])
     with pytest.raises(DomainError):
         compute_historic_average([2.0, -1.0])
+    with pytest.raises(DomainError):
+        compute_historic_average([1e308, 1e308])
 
 
 def test_career_sums_detrended_seasons():
@@ -97,6 +101,12 @@ def test_career_is_homogeneous_in_values(rows, factor):
 def test_career_needs_at_least_one_season():
     with pytest.raises(DomainError):
         detrend_career([], 5.0)
+
+
+def test_career_overflow_is_a_domain_error():
+    stats = [SeasonStat(1922, 1e308, 1.0), SeasonStat(1923, 1e308, 1.0)]
+    with pytest.raises(DomainError):
+        detrend_career(stats)
 
 
 def test_season_validation():

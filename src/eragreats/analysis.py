@@ -52,6 +52,13 @@ def _check_span(ranked: RankedList, table: PopulationTable) -> None:
             )
 
 
+def _chance(probability: float) -> Chance:
+    """The "1 in N" of a tail probability; an exact 0.0 has no N and shows "-"."""
+    if probability == 0.0:
+        return Chance(0.0, "-")
+    return chance_format(probability)
+
+
 def _report(
     source: str, depth: int, early: int, proportion: float, regime: str | None = None
 ) -> OverrepReport:
@@ -62,7 +69,7 @@ def _report(
         early_count=early,
         proportion_used=proportion,
         tail_probability=probability,
-        chance=chance_format(probability),
+        chance=_chance(probability),
         regime=regime,
     )
 

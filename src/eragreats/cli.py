@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 
-from .analysis import bridge_check, monte_carlo_oracle, sensitivity_matrix
+from .analysis import _chance, bridge_check, monte_carlo_oracle, sensitivity_matrix
 from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
     DEFAULT_DEPTHS,
     DEFAULT_POOL_CUTOFF_YEAR,
-    default_league_seasons,
-    default_population_table,
+    data_path,
     default_ranked_lists,
-    default_weight_regimes,
 )
 from .detrend import (
     compute_historic_average,
@@ -44,7 +43,7 @@ from .errors import DataError, DomainError
 from .formatting import format_probability, format_proportion
 from .population import cumulative_proportion, load_population_table, load_weight_regimes
 from .rankings import load_ranked_list
-from .tailprob import binomial_tail, chance_format
+from .tailprob import binomial_tail
 
 FORMATS = ("table", "csv", "json")
 
@@ -64,7 +63,9 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and then reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eragreats",
         description="Quantify how overrepresented early eras are in "
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilution", help="eligible population per roster spot over time")
     _add_population(p)
-    p.add_argument("--league", metavar="PATH",
+    p.add_argument("--league", metavar="PATH", default=data_path("league_config.csv"),
                    help="league size CSV: year,teams,roster_size (default: bundled)")
     _add_format(p)
     p.set_defaults(handler=_cmd_dilution)
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_population(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population", metavar="PATH",
+    p.add_argument("--population", metavar="PATH", default=data_path("population.csv"),
                    help="population table CSV (default: bundled)")
 
 
@@ -150,7 +151,8 @@ def _add_depths(p: argparse.ArgumentParser) -> None:
 
 
 def _add_weights(p: argparse.ArgumentParser, regime: bool) -> None:
-    p.add_argument("--weights", metavar="PATH", help="weight regimes CSV (default: bundled)")
+    p.add_argument("--weights", metavar="PATH", default=data_path("weight_regimes.csv"),
+                   help="weight regimes CSV (default: bundled)")
     if regime:
         p.add_argument("--regime", metavar="NAME", help="apply this interest-weighting regime")
 
@@ -185,22 +187,10 @@ def _counts_arg(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _population_table(args):
-    if args.population:
-        return load_population_table(args.population)
-    return default_population_table()
-
-
-def _weight_regimes(args):
-    if args.weights:
-        return load_weight_regimes(args.weights)
-    return default_weight_regimes()
-
-
 def _pick_regime(args):
-    if not args.regime:
+    if args.regime is None:
         return None
-    regimes = _weight_regimes(args)
+    regimes = load_weight_regimes(args.weights)
     if args.regime not in regimes:
         raise DataError(
             f"unknown regime {args.regime!r}, available: {', '.join(regimes)}"
@@ -215,17 +205,14 @@ def _ranked_lists(args):
 
 
 def _cmd_proportion(args) -> str:
-    table = _population_table(args)
+    table = load_population_table(args.population)
     value = cumulative_proportion(table, args.cutoff, regime=_pick_regime(args))
     return format_proportion(value) + "\n"
 
 
 def _cmd_tail(args) -> str:
     probability = binomial_tail(args.n, args.k, args.p)
-    row = {
-        "probability": probability,
-        "chance": chance_format(probability).display if probability > 0 else "-",
-    }
+    row = {"probability": probability, "chance": _chance(probability).display}
     simulated = {}
     if args.trials is not None:
         oracle = monte_carlo_oracle(args.n, args.p, args.trials, args.seed)
@@ -248,7 +235,7 @@ def _report_row(report) -> dict:
 
 
 def _cmd_analyze(args) -> str:
-    table = _population_table(args)
+    table = load_population_table(args.population)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, [regime], args.depths, args.cutoff, table)
@@ -256,25 +243,22 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_sensitivity(args) -> str:
-    table = _population_table(args)
-    regimes = list(_weight_regimes(args).values())
+    table = load_population_table(args.population)
+    regimes = list(load_weight_regimes(args.weights).values())
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
     return _emit([{"regime": r.regime, **_report_row(r)} for r in reports], args.format)
 
 
 def _cmd_bridge(args) -> str:
-    table = _population_table(args)
+    table = load_population_table(args.population)
     reports = bridge_check(args.counts, args.pool_cutoff, args.cutoff, table)
     return _emit([_report_row(r) for r in reports], args.format)
 
 
 def _cmd_dilution(args) -> str:
-    table = _population_table(args)
-    if args.league:
-        seasons = build_league_seasons(load_league_config(args.league), table)
-    else:
-        seasons = default_league_seasons(table)
+    table = load_population_table(args.population)
+    seasons = build_league_seasons(load_league_config(args.league), table)
     rows = [
         {
             "year": season.year,

@@ -7,7 +7,6 @@ of the box.  Everything here is plain CSV under ``eragreats/data``.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .dilution import LeagueSeason, build_league_seasons, load_league_config
@@ -28,7 +27,7 @@ DEFAULT_BRIDGE_COUNTS = ((10, 6), (25, 10))
 
 def data_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""
-    return Path(str(resources.files("eragreats").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def default_population_table() -> PopulationTable:

@@ -102,9 +102,4 @@ def load_season_stats(path) -> list[SeasonStat]:
         seen.add(season)
         return SeasonStat(season, value, league_average)
 
-    def build(stats):
-        if not stats:
-            raise DataError("no season rows found")
-        return stats
-
-    return read_rows(path, "season,value,league_average", parse, build)
+    return read_rows(path, "season,value,league_average", parse)

@@ -58,20 +58,18 @@ def format_per_roster_spot(value: float) -> str:
 
 
 def load_league_config(path) -> list[tuple[int, int, int]]:
-    """Read ``year,teams,roster_size`` rows from CSV."""
+    """Read ``year,teams,roster_size`` rows from CSV, one row per year."""
     columns = ("year", "teams", "roster_size")
+    years: set[int] = set()
 
-    def build(config):
-        if not config:
-            raise DataError("no league rows found")
-        return config
+    def parse(cells):
+        row = tuple(parse_int(cell, name) for name, cell in zip(columns, cells))
+        if row[0] in years:
+            raise DataError(f"duplicate year {row[0]}")
+        years.add(row[0])
+        return row
 
-    return read_rows(
-        path,
-        ",".join(columns),
-        lambda cells: tuple(parse_int(cell, name) for name, cell in zip(columns, cells)),
-        build,
-    )
+    return read_rows(path, ",".join(columns), parse)
 
 
 def build_league_seasons(

@@ -197,8 +197,9 @@ def read_rows(path, header, parse_row, build=list):
     which the stripped header cells must spell; or a callable that takes
     those cells and raises DataError when they are wrong.  A data row must
     have as many cells as the header, and its cells reach ``parse_row``
-    stripped.  A DataError from any step gains
-    the path, plus the line when the header or a row is at fault.
+    stripped.  A file with no data row is refused.  A DataError from any
+    step gains the path, plus the line when the header or a row is at
+    fault.
     """
     path = Path(path)
     try:
@@ -231,6 +232,8 @@ def read_rows(path, header, parse_row, build=list):
             parsed.append(parse_row(cells))
         except DataError as exc:
             raise DataError(str(exc), path=path, line=lineno) from None
+    if not parsed:
+        raise DataError("no data rows found", path=path)
     try:
         return build(parsed)
     except DataError as exc:
@@ -305,8 +308,6 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
         return year, [parse_float(cell, f"weight {name!r}") for name, cell in zip(names, cells[1:])]
 
     def build(rows):
-        if not rows:
-            raise DataError("no weight rows found")
         return {
             name: WeightRegime(name, {year: weights[i] for year, weights in rows})
             for i, name in enumerate(names)

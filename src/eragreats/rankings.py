@@ -62,10 +62,10 @@ def count_early(ranked: RankedList, depth: int, cutoff_year: int) -> int:
     return sum(1 for e in ranked.entries[:depth] if e.career_start_year <= cutoff_year)
 
 
-def load_ranked_list(path, source: str | None = None) -> RankedList:
+def load_ranked_list(path) -> RankedList:
     """Read a ranked list from CSV with columns ``rank,name,career_start_year``.
 
-    ``source`` defaults to the file's stem.
+    The list's source name is the file's stem.
     """
 
     def parse(cells):
@@ -77,6 +77,6 @@ def load_ranked_list(path, source: str | None = None) -> RankedList:
         path,
         "rank,name,career_start_year",
         parse,
-        lambda entries: RankedList(source or Path(path).stem, tuple(entries)),
+        lambda entries: RankedList(Path(path).stem, tuple(entries)),
     )
 

@@ -199,6 +199,30 @@ def test_tail_monte_carlo_is_seeded():
     assert abs(payload["monte_carlo"] - payload["probability"]) < 0.002
 
 
+def test_zero_tails_display_a_dash(tmp_path):
+    # the tail of 0.278**1000 underflows to exactly 0.0
+    result = run_cli("tail", "--n", "1000", "--k", "1000", "--p", "0.278", "--format", "csv")
+    assert (result.returncode, result.stdout) == (0, "probability,chance\n0,-\n")
+    result = run_cli("bridge", "--counts", "1000:1000", "--format", "csv")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1] == "external,1000,1000,0.278,0,-"
+
+    # a regime of weight 0 through the 1950 cutoff gives a share of 0
+    years = [row.split(",")[0] for row in data_path("weight_regimes.csv").read_text().split()[1:]]
+    late = tmp_path / "late.csv"
+    late.write_text("year,late\n" + "".join(f"{y},{int(int(y) > 1950)}\n" for y in years))
+    for argv in (["analyze", "--weights", str(late), "--regime", "late"],
+                 ["sensitivity", "--weights", str(late)]):
+        result = run_cli(*argv, "--format", "json")
+        assert (result.returncode, result.stderr) == (0, "")
+        reports = json.loads(result.stdout)
+        assert len(reports) == 8
+        for report in reports:
+            assert report["proportion"] == 0.0
+            assert (report["probability"], report["chance"]) == (
+                (0.0, "-") if report["early_count"] else (1.0, "1 in 1"))
+
+
 def test_detrend_formats(tmp_path):
     path = tmp_path / "seasons.csv"
     path.write_text("season,value,league_average\n1920,40,10\n1921,30,5\n")
@@ -215,6 +239,20 @@ def test_detrend_formats(tmp_path):
     assert payload["historic_average"] == 7.5
     assert payload["career_total"] == 75.0
     assert payload["seasons"][0]["detrended"] == 30.0
+
+
+def test_one_process_runs_many_commands_as_fresh_ones():
+    # the parser is built once per process; no run may leave state in it
+    invocations = [
+        ["analyze", "--list", str(data_path("espn.csv")), "--format", "csv"],
+        ["analyze", "--format", "csv"],
+        ["sensitivity"],
+    ]
+    for argv in invocations:
+        fresh = run_cli(*argv)
+        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert run_main(invocations[1])[1] == ANALYZE_CSV
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_output_is_byte_identical_across_runs():
@@ -258,6 +296,21 @@ def test_input_data_errors_exit_3(tmp_path):
     result = run_cli("detrend", str(seasons))
     assert result.returncode == 3
     assert "seasons.csv:2" in result.stderr
+
+    league = tmp_path / "league.csv"
+    league.write_text("year,teams,roster_size\n1890,8,15\n1890,9,15\n")
+    result = run_cli("dilution", "--league", str(league))
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == f"eragreats: {league}:3: duplicate year 1890\n"
+
+    # an empty path or regime name is refused, not taken for the default
+    for argv in (["proportion", "--population", ""],
+                 ["proportion", "--weights", "", "--regime", "w1"],
+                 ["dilution", "--league", ""],
+                 ["analyze", "--regime", ""]):
+        result = run_cli(*argv)
+        assert (result.returncode, result.stdout) == (3, ""), argv
+        assert result.stderr.startswith("eragreats: ")
 
 
 def test_domain_errors_exit_4(tmp_path):

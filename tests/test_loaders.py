@@ -1,6 +1,7 @@
 """Every CSV loader rejects the same bad input the same way: a DataError
 whose message starts with the path, plus the line when a row or the
-header is at fault.
+header is at fault.  A file with a header and no data row gives one
+message from every loader.
 """
 
 import pytest
@@ -54,3 +55,5 @@ def test_loaders_reject_bad_input_alike(tmp_path, loader_name, case):
     where = f"{path}:{line}: " if line is not None else f"{path}: "
     assert str(excinfo.value).startswith(where)
     assert (excinfo.value.path, excinfo.value.line) == (path, line)
+    if case == "header-only":
+        assert str(excinfo.value) == f"{path}: no data rows found"

@@ -104,12 +104,6 @@ def test_load_and_dump_roundtrip(tmp_path):
     assert ranked.entries[1].career_start_year == 1977
 
 
-def test_load_honors_explicit_source(tmp_path):
-    path = tmp_path / "anything.csv"
-    path.write_text("rank,name,career_start_year\n1,Some Player,1901\n")
-    assert load_ranked_list(path, source="named").source == "named"
-
-
 def test_load_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("rank,name\n1,x\n")

@@ -188,9 +188,9 @@ def _counts_arg(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _pick_regime(args):
+    regimes = load_weight_regimes(args.weights)
     if args.regime is None:
         return None
-    regimes = load_weight_regimes(args.weights)
     if args.regime not in regimes:
         raise DataError(
             f"unknown regime {args.regime!r}, available: {', '.join(regimes)}"

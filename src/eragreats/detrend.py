@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError, DomainError
-from .population import parse_float, parse_int, read_rows
+from .population import finite, fixed_columns, read_rows
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,5 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
 
 def load_season_stats(path) -> list[SeasonStat]:
     """Read ``season,value,league_average`` rows from CSV."""
-    seen = set()
-
-    def parse(cells):
-        season = parse_int(cells[0], "season")
-        value = parse_float(cells[1], "value")
-        league_average = parse_float(cells[2], "league_average")
-        if season in seen:
-            raise DataError(f"duplicate season {season}")
-        seen.add(season)
-        return SeasonStat(season, value, league_average)
-
-    return read_rows(path, "season,value,league_average", parse)
+    columns = fixed_columns("season,value,league_average", int, finite, finite)
+    return read_rows(path, columns, SeasonStat)

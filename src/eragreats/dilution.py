@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, DomainError
 from .formatting import half_up
-from .population import PopulationTable, parse_int, read_rows
+from .population import PopulationTable, fixed_columns, read_rows
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,8 @@ def format_per_roster_spot(value: float) -> str:
 
 def load_league_config(path) -> list[tuple[int, int, int]]:
     """Read ``year,teams,roster_size`` rows from CSV, one row per year."""
-    columns = ("year", "teams", "roster_size")
-    years: set[int] = set()
-
-    def parse(cells):
-        row = tuple(parse_int(cell, name) for name, cell in zip(columns, cells))
-        if row[0] in years:
-            raise DataError(f"duplicate year {row[0]}")
-        years.add(row[0])
-        return row
-
-    return read_rows(path, ",".join(columns), parse)
+    columns = fixed_columns("year,teams,roster_size", int, int, int)
+    return read_rows(path, columns, lambda *row: row)
 
 
 def build_league_seasons(

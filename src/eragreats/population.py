@@ -12,8 +12,8 @@ both the numerator and the denominator, which models era-dependent talent
 pull without changing the total-share normalization.  The share functions
 take the regime as an optional ``regime=`` argument.
 
-``read_rows`` is the one CSV reader every loader in the package uses;
-each data row must be as wide as the file's header.
+``read_rows`` is the one CSV reader: each loader declares one parser per
+column, and the reader applies every cell and key rule for all of them.
 """
 
 from __future__ import annotations
@@ -189,18 +189,22 @@ def cumulative_proportion(
     return numerator / denominator
 
 
-def read_rows(path, header, parse_row, build=list):
+def read_rows(path, columns, make, build=list):
     """Read the CSV file at ``path`` and return ``build(rows)``, where
-    ``rows`` holds ``parse_row(cells)`` for each non-blank data row.
+    ``rows`` holds ``make(*values)`` for each non-blank data row.
 
-    ``header`` is the expected header, such as ``"year,teams,roster_size"``,
-    which the stripped header cells must spell; or a callable that takes
-    those cells and raises DataError when they are wrong.  A data row must
-    have as many cells as the header, and its cells reach ``parse_row``
-    stripped.  A file with no data row is refused.  A DataError from any
-    step gains the path, plus the line when the header or a row is at
-    fault.
+    ``columns`` takes the header cells and returns one parser per column
+    (``fixed_columns`` for a fixed header), or raises DataError.  A parser
+    maps cell text to a value, raising ValueError on bad text: ``int``,
+    ``str.strip``, ``finite``.  Cells reach it unstripped, since ``int`` and
+    ``float`` ignore surrounding blanks.  Each data row must be as wide as
+    the header; a refused cell is ``bad <column>: '<cell>'``, and a repeated
+    value of the first column, the key, is ``duplicate <column> <value>``.
+    An empty path and a file with no data row are refused.  A DataError
+    gains the path, plus the line when the header or a row is at fault.
     """
+    if not path:
+        raise DataError("empty file path")
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -211,25 +215,27 @@ def read_rows(path, header, parse_row, build=list):
         raise DataError(f"cannot parse file: {exc}", path=path) from None
     if not rows:
         raise DataError("file is empty", path=path)
+    try:
+        parsers = columns(rows[0])
+    except DataError as exc:
+        raise DataError(str(exc), path=path, line=1) from None
     names = [cell.strip() for cell in rows[0]]
-    if callable(header):
-        try:
-            header(names)
-        except DataError as exc:
-            raise DataError(str(exc), path=path, line=1) from None
-    elif names != header.split(","):
-        raise DataError(
-            f"expected header {header!r}, got {','.join(rows[0])!r}", path=path, line=1
-        )
     parsed = []
+    keys = set()
     for lineno, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if not any(cells):
+        if not "".join(row).strip():
             continue
         try:
-            if len(cells) != len(names):
-                raise DataError(f"expected {len(names)} columns, got {len(cells)}")
-            parsed.append(parse_row(cells))
+            if len(row) != len(parsers):
+                raise DataError(f"expected {len(parsers)} columns, got {len(row)}")
+            try:
+                values = [parse(cell) for parse, cell in zip(parsers, row)]
+            except ValueError:
+                raise _bad_cell(names, parsers, row) from None
+            if values[0] in keys:
+                raise DataError(f"duplicate {names[0]} {values[0]}")
+            keys.add(values[0])
+            parsed.append(make(*values))
         except DataError as exc:
             raise DataError(str(exc), path=path, line=lineno) from None
     if not parsed:
@@ -240,20 +246,31 @@ def read_rows(path, header, parse_row, build=list):
         raise DataError(str(exc), path=path) from None
 
 
-def parse_int(cell: str, what: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise DataError(f"bad {what}: {cell!r}") from None
+def _bad_cell(names, parsers, row) -> DataError:
+    """The error for the first cell of ``row`` that its parser refuses."""
+    for name, parse, cell in zip(names, parsers, row):
+        try:
+            parse(cell)
+        except ValueError:
+            return DataError(f"bad {name}: {cell.strip()!r}")
 
 
-def parse_float(cell: str, what: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"bad {what}: {cell!r}") from None
-    if math.isnan(value) or math.isinf(value):
-        raise DataError(f"bad {what}: {cell!r}")
+def fixed_columns(header: str, *parsers):
+    """``columns`` for a header that must spell ``header`` once stripped."""
+
+    def columns(cells):
+        if [cell.strip() for cell in cells] != header.split(","):
+            raise DataError(f"expected header {header!r}, got {','.join(cells)!r}")
+        return parsers
+
+    return columns
+
+
+def finite(cell: str) -> float:
+    """Parse a float cell, refusing nan and the infinities."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
     return value
 
 
@@ -264,24 +281,20 @@ def load_population_table(path) -> PopulationTable:
     and every row as wide as the header.  The length column is optional
     and defaults to 10; an empty cell also means 10.
     """
-    columns = ["year", "population_millions", "period_length_years"]
 
-    def check_header(names):
-        if names not in (columns[:2], columns):
+    def columns(cells):
+        names = [cell.strip() for cell in cells]
+        if names not in (["year", "population_millions"],
+                         ["year", "population_millions", "period_length_years"]):
             raise DataError(
                 "expected header 'year,population_millions[,period_length_years]', "
                 f"got {','.join(names)!r}"
             )
+        return (int, finite, lambda cell: int(cell) if cell.strip() else 10)[:len(names)]
 
-    def parse(cells):
-        year = parse_int(cells[0], "year")
-        population = parse_float(cells[1], "population_millions")
-        length = 10
-        if len(cells) == 3 and cells[2]:
-            length = parse_int(cells[2], "period_length_years")
-        return PopulationRecord(year, population, length)
-
-    return read_rows(path, check_header, parse, lambda records: PopulationTable(tuple(records)))
+    return read_rows(
+        path, columns, PopulationRecord, lambda records: PopulationTable(tuple(records))
+    )
 
 
 def load_weight_regimes(path) -> dict[str, WeightRegime]:
@@ -291,26 +304,18 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
     name, in column order.
     """
     names: list[str] = []
-    years: set[int] = set()
 
-    def check_header(cells):
+    def columns(cells):
+        cells = [cell.strip() for cell in cells]
         if cells[:1] != ["year"] or len(cells) < 2:
             raise DataError(f"expected header 'year,<regime>,...', got {','.join(cells)!r}")
         names.extend(cells[1:])
         if len(set(names)) != len(names):
             raise DataError("duplicate regime names in header")
-
-    def parse(cells):
-        year = parse_int(cells[0], "year")
-        if year in years:
-            raise DataError(f"duplicate year {year}")
-        years.add(year)
-        return year, [parse_float(cell, f"weight {name!r}") for name, cell in zip(names, cells[1:])]
+        return (int, *[finite] * len(names))
 
     def build(rows):
-        return {
-            name: WeightRegime(name, {year: weights[i] for year, weights in rows})
-            for i, name in enumerate(names)
-        }
+        years, *weights = zip(*rows)
+        return {name: WeightRegime(name, dict(zip(years, w))) for name, w in zip(names, weights)}
 
-    return read_rows(path, check_header, parse, build)
+    return read_rows(path, columns, lambda *row: row, build)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, DomainError
-from .population import parse_int, read_rows
+from .population import fixed_columns, read_rows
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,10 @@ def load_ranked_list(path) -> RankedList:
 
     The list's source name is the file's stem.
     """
-
-    def parse(cells):
-        rank = parse_int(cells[0], "rank")
-        year = parse_int(cells[2], "career_start_year")
-        return PlayerEntry(rank, cells[1], year)
-
     return read_rows(
         path,
-        "rank,name,career_start_year",
-        parse,
+        fixed_columns("rank,name,career_start_year", int, str.strip, int),
+        PlayerEntry,
         lambda entries: RankedList(Path(path).stem, tuple(entries)),
     )
 

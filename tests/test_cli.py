@@ -306,11 +306,19 @@ def test_input_data_errors_exit_3(tmp_path):
     # an empty path or regime name is refused, not taken for the default
     for argv in (["proportion", "--population", ""],
                  ["proportion", "--weights", "", "--regime", "w1"],
-                 ["dilution", "--league", ""],
-                 ["analyze", "--regime", ""]):
+                 ["dilution", "--league", ""]):
         result = run_cli(*argv)
         assert (result.returncode, result.stdout) == (3, ""), argv
-        assert result.stderr.startswith("eragreats: ")
+        assert result.stderr == "eragreats: empty file path\n", argv
+    result = run_cli("analyze", "--regime", "")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("eragreats: ")
+
+    # --weights is read whether or not a regime is picked
+    for command in ("analyze", "proportion"):
+        result = run_cli(command, "--weights", str(tmp_path / "nope.csv"))
+        assert (result.returncode, result.stdout) == (3, ""), command
+        assert "nope.csv" in result.stderr
 
 
 def test_domain_errors_exit_4(tmp_path):

@@ -1,7 +1,8 @@
 """Every CSV loader rejects the same bad input the same way: a DataError
 whose message starts with the path, plus the line when a row or the
 header is at fault.  A file with a header and no data row gives one
-message from every loader.
+message from every loader, a bad cell is named by its column, and a
+repeated first-column key is refused at its line.
 """
 
 import pytest
@@ -25,9 +26,16 @@ LOADERS = {
     "seasons": (load_season_stats, "season,value,league_average", "1919,50,0.1", "1920,54,{}"),
 }
 
+
+def _repeat_key(r1, r2):
+    """The second row with the first row's key, and its other cells good."""
+    return f"{r1.split(',', 1)[0]},{r2.split(',', 1)[1].format(r1.rsplit(',', 1)[1])}"
+
+
 # case -> (file text from header, first row and second row; faulty line)
 CASES = {
     "non-numeric": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('abc')}\n", 3),
+    "duplicate-key": (lambda h, r1, r2: f"{h}\n{r1}\n{_repeat_key(r1, r2)}\n", 3),
     "nan": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('nan')}\n", 3),
     "inf": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('inf')}\n", 3),
     "column-count": (lambda h, r1, r2: f"{h}\n{r1}\n{r2.format('1,1,1')}\n", 3),
@@ -57,3 +65,8 @@ def test_loaders_reject_bad_input_alike(tmp_path, loader_name, case):
     assert (excinfo.value.path, excinfo.value.line) == (path, line)
     if case == "header-only":
         assert str(excinfo.value) == f"{path}: no data rows found"
+    if case == "duplicate-key":
+        key = first.split(",")[0]
+        assert str(excinfo.value) == f"{path}:3: duplicate {header.split(',')[0]} {key}"
+    if case == "non-numeric":
+        assert str(excinfo.value).endswith(f"bad {header.split(',')[-1]}: 'abc'")

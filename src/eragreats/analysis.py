@@ -44,11 +44,12 @@ class OverrepReport:
 
 
 def _check_span(ranked: RankedList, table: PopulationTable) -> None:
+    first, final = table.first_year, table.final_year
     for entry in ranked.entries:
-        if not table.first_year < entry.career_start_year <= table.final_year:
+        if not first < entry.career_start_year <= final:
             raise DomainError(
                 f"{entry.name!r} starts in {entry.career_start_year}, outside the "
-                f"covered span ({table.first_year}, {table.final_year}]"
+                f"covered span ({first}, {final}]"
             )
 
 

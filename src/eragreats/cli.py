@@ -308,10 +308,25 @@ def _cell(column: str, value) -> str:
     return str(value)
 
 
+# json.dumps(indent=2) runs the pure-Python encoder; this one is the C
+# encoder, writing every item boundary as a newline and the row indent
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def _emit(rows, fmt: str) -> str:
-    """Render ``rows``, dicts of raw values keyed by column name, in ``fmt``."""
+    """Render ``rows``, dicts of raw values keyed by column name, in ``fmt``.
+
+    JSON output is ``json.dumps(rows, indent=2)`` plus a newline; the
+    ``tail`` and ``detrend`` payloads, one dict each, are rendered by it.
+    A list of flat, non-empty row dicts is encoded in one C-encoder call
+    and its row boundaries are then re-indented: an encoded string never
+    holds a raw newline, so each ``},\n    {`` is a boundary.
+    """
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        if isinstance(rows, dict):
+            return json.dumps(rows, indent=2) + "\n"
+        body = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        return "[\n  {\n    " + body + "\n  }\n]\n"
     columns = list(rows[0])
     return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
 

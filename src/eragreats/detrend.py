@@ -35,7 +35,11 @@ class SeasonStat:
 def detrend_value(value: float, league_average: float, historic_average: float) -> float:
     """Rescale one value: ``value * historic_average / league_average``.
 
-    A result that overflows a double raises DomainError.
+    Where that expression overflows, it is redone on the ``frexp``
+    mantissas and the exponents are added back by ``ldexp``: the same two
+    roundings without the overflowing product, so a result that fits a
+    double is returned, and every result that fitted before is unchanged.
+    A result that itself overflows a double raises DomainError.
     """
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"value must be finite, got {value!r}")
@@ -46,31 +50,67 @@ def detrend_value(value: float, league_average: float, historic_average: float) 
             f"historic average must be positive and finite, got {historic_average!r}"
         )
     detrended = value * historic_average / league_average
-    if math.isinf(detrended):
+    if not math.isinf(detrended):
+        return detrended
+    (v, v_exp), (h, h_exp), (a, a_exp) = map(
+        math.frexp, (value, historic_average, league_average)
+    )
+    try:
+        return math.ldexp(v * h / a, v_exp + h_exp - a_exp)
+    except OverflowError:
         raise DomainError(
             f"detrended value {value!r} * {historic_average!r} / {league_average!r} "
             f"overflows a double"
-        )
-    return detrended
+        ) from None
+
+
+# every finite double is a whole number of 2**-1074
+_UNITS = 1 << 1074
+
+
+def _exact_sum(values: list[float]) -> int:
+    """The sum of ``values`` in units of 2**-1074, exactly."""
+    return sum(num * (_UNITS // den) for num, den in map(float.as_integer_ratio, values))
 
 
 def _sum(values: Iterable[float], what: str) -> float:
-    """``math.fsum`` of finite values, with its overflow as a DomainError."""
+    """``math.fsum`` of finite values; an overflowing sum is a DomainError.
+
+    ``math.fsum`` refuses a sum once a partial sum overflows, even when the
+    total fits; the exact sum divided by 2**1074 is then the same
+    correctly rounded total.
+    """
+    values = list(values)
     try:
         return math.fsum(values)
+    except OverflowError:
+        pass
+    try:
+        return _exact_sum(values) / _UNITS
     except OverflowError:
         raise DomainError(f"{what} overflows a double") from None
 
 
 def compute_historic_average(league_averages: Iterable[float]) -> float:
-    """Arithmetic mean of per-season league averages."""
+    """Arithmetic mean of per-season league averages.
+
+    Where the sum overflows, the exact sum is rounded at 2**-k of its
+    size, divided by the count and scaled back by ``ldexp``: the same two
+    roundings as ``fsum(values) / len(values)`` without the overflow.
+    """
     values = list(league_averages)
     if not values:
         raise DomainError("historic average needs at least one league average")
     for v in values:
         if not v > 0 or math.isinf(v) or math.isnan(v):
             raise DomainError(f"league averages must be positive and finite, got {v!r}")
-    return _sum(values, "sum of league averages") / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        pass
+    # 2**k exceeds the count, so the scaled sum fits a double
+    k = len(values).bit_length()
+    return math.ldexp(_exact_sum(values) / (_UNITS << k) / len(values), k)
 
 
 def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None = None) -> float:

@@ -13,7 +13,8 @@ pull without changing the total-share normalization.  The share functions
 take the regime as an optional ``regime=`` argument.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
-column, and the reader applies every cell and key rule for all of them.
+column, and the reader applies every cell and key rule for all of them,
+a whole column at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -202,6 +204,10 @@ def read_rows(path, columns, make, build=list):
     value of the first column, the key, is ``duplicate <column> <value>``.
     An empty path and a file with no data row are refused.  A DataError
     gains the path, plus the line when the header or a row is at fault.
+
+    The data rows are checked and parsed one column at a time; only when
+    that pass finds a fault are they read again row by row, to raise the
+    error of the first faulty line.
     """
     if not path:
         raise DataError("empty file path")
@@ -219,10 +225,43 @@ def read_rows(path, columns, make, build=list):
         parsers = columns(rows[0])
     except DataError as exc:
         raise DataError(str(exc), path=path, line=1) from None
-    names = [cell.strip() for cell in rows[0]]
-    parsed = []
+    header, data = rows[0], rows[1:]
+    kept = list(compress(data, map(str.strip, map("".join, data))))
+    if not kept:
+        raise DataError("no data rows found", path=path)
+    try:
+        parsed = _by_column(parsers, make, kept)
+    except (ValueError, DataError):
+        parsed = None
+    if parsed is None:
+        _raise_first_fault(path, header, parsers, make, data)
+    try:
+        return build(parsed)
+    except DataError as exc:
+        raise DataError(str(exc), path=path) from None
+
+
+def _by_column(parsers, make, rows):
+    """``make(*values)`` for each of ``rows``, parsed one column at a time,
+    or None when a row's width differs from the header's or a key repeats.
+    A refused cell raises ValueError, a refused row DataError.
+    """
+    if set(map(len, rows)) != {len(parsers)}:
+        return None
+    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*rows))]
+    if len(set(columns[0])) != len(rows):
+        return None
+    return list(map(make, *columns))
+
+
+def _raise_first_fault(path, header, parsers, make, rows) -> None:
+    """Raise the error of the first faulty line in ``rows`` (the data rows,
+    blank ones included), checking row by row as the column pass cannot:
+    width, then cells in column order, then a repeated key, then ``make``.
+    """
+    names = [cell.strip() for cell in header]
     keys = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not "".join(row).strip():
             continue
         try:
@@ -235,15 +274,9 @@ def read_rows(path, columns, make, build=list):
             if values[0] in keys:
                 raise DataError(f"duplicate {names[0]} {values[0]}")
             keys.add(values[0])
-            parsed.append(make(*values))
+            make(*values)
         except DataError as exc:
             raise DataError(str(exc), path=path, line=lineno) from None
-    if not parsed:
-        raise DataError("no data rows found", path=path)
-    try:
-        return build(parsed)
-    except DataError as exc:
-        raise DataError(str(exc), path=path) from None
 
 
 def _bad_cell(names, parsers, row) -> DataError:
@@ -288,7 +321,7 @@ def load_population_table(path) -> PopulationTable:
                          ["year", "population_millions", "period_length_years"]):
             raise DataError(
                 "expected header 'year,population_millions[,period_length_years]', "
-                f"got {','.join(names)!r}"
+                f"got {','.join(cells)!r}"
             )
         return (int, finite, lambda cell: int(cell) if cell.strip() else 10)[:len(names)]
 
@@ -306,10 +339,10 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
     names: list[str] = []
 
     def columns(cells):
-        cells = [cell.strip() for cell in cells]
-        if cells[:1] != ["year"] or len(cells) < 2:
+        stripped = [cell.strip() for cell in cells]
+        if stripped[:1] != ["year"] or len(cells) < 2:
             raise DataError(f"expected header 'year,<regime>,...', got {','.join(cells)!r}")
-        names.extend(cells[1:])
+        names.extend(stripped[1:])
         if len(set(names)) != len(names):
             raise DataError("duplicate regime names in header")
         return (int, *[finite] * len(names))

@@ -14,6 +14,11 @@ enumeration oracle it imports nothing from the package.
 (a fresh ``math.comb`` per term, then the exact-rational fallback) as
 the reference the faster kernel must match bit for bit.
 
+``reference_read_rows`` keeps the package's original CSV reader, one
+row at a time, as the reference the columnar reader must match in every
+object it builds and every error it raises; ``indented_json`` is the
+original JSON rendering the row encoder must match byte for byte.
+
 ``per_cell_reports`` keeps the plain per-cell loop over a report grid
 (span check, share, early count and tail for every cell, nothing reused
 between cells), built from the package's own steps, as the reference
@@ -24,9 +29,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 
 def enumerated_tail(n: int, k_min: int, p: float) -> float:
@@ -230,3 +237,61 @@ def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
                 name = None if regime is None else regime.name
                 reports.append(_report(ranked.source, depth, early, proportion, name))
     return reports
+
+
+def reference_read_rows(path, columns, make, build=list):
+    """``read_rows`` as it first was: each non-blank data row checked for
+    width, parsed cell by cell, checked for a repeated key and built, in
+    file order, so the first faulty line raises."""
+    from eragreats.errors import DataError
+
+    if not path:
+        raise DataError("empty file path")
+    path = Path(path)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse file: {exc}", path=path) from None
+    if not rows:
+        raise DataError("file is empty", path=path)
+    try:
+        parsers = columns(rows[0])
+    except DataError as exc:
+        raise DataError(str(exc), path=path, line=1) from None
+    names = [cell.strip() for cell in rows[0]]
+    parsed = []
+    keys = set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not "".join(row).strip():
+            continue
+        try:
+            if len(row) != len(parsers):
+                raise DataError(f"expected {len(parsers)} columns, got {len(row)}")
+            try:
+                values = [parse(cell) for parse, cell in zip(parsers, row)]
+            except ValueError:
+                for name, parse, cell in zip(names, parsers, row):
+                    try:
+                        parse(cell)
+                    except ValueError:
+                        raise DataError(f"bad {name}: {cell.strip()!r}") from None
+            if values[0] in keys:
+                raise DataError(f"duplicate {names[0]} {values[0]}")
+            keys.add(values[0])
+            parsed.append(make(*values))
+        except DataError as exc:
+            raise DataError(str(exc), path=path, line=lineno) from None
+    if not parsed:
+        raise DataError("no data rows found", path=path)
+    try:
+        return build(parsed)
+    except DataError as exc:
+        raise DataError(str(exc), path=path) from None
+
+
+def indented_json(rows) -> str:
+    """The JSON text of ``rows`` as the CLI first rendered it."""
+    return json.dumps(rows, indent=2) + "\n"

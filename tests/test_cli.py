@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eragreats import cli
 from eragreats.defaults import data_path
-from oracles import exact_binomial_tail, one_in_n, per_cell_reports
+from oracles import exact_binomial_tail, indented_json, one_in_n, per_cell_reports
 
 ANALYZE_CSV = """\
 source,depth,early_count,proportion,probability,chance
@@ -49,7 +49,9 @@ year,teams,roster_size,population_millions,per_roster_spot_thousands
 
 DETREND_OVERFLOW_SEASON = "season,value,league_average\n1922,1e300,1e-300\n"
 DETREND_OVERFLOW_CAREER = "season,value,league_average\n1922,1e308,1\n1923,1e308,1\n"
-DETREND_OVERFLOW_AVERAGE = "season,value,league_average\n1922,1,1e308\n1923,1,1e308\n"
+# the league averages' sum and the season's product overflow, the results do not
+DETREND_LARGE_AVERAGE = "season,value,league_average\n1922,1,1e308\n1923,1,1e308\n"
+DETREND_LARGE_PRODUCT = "season,value,league_average\n1922,1e300,1e20\n"
 
 
 def run_cli(*argv, binary=False):
@@ -241,6 +243,26 @@ def test_detrend_formats(tmp_path):
     assert payload["seasons"][0]["detrended"] == 30.0
 
 
+JSON_TEXT = st.text(st.characters(max_codepoint=0x2FFFF)) | st.sampled_from(
+    ['},\n    {', '"},\n    {"', "\\", '\\"', "\n", ",\n    ", "é ünïcode ☃", "\ud800"]
+)
+JSON_SCALARS = (
+    JSON_TEXT
+    | st.floats(allow_subnormal=True)
+    | st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 1e300])
+    | st.integers()
+    | st.none()
+    | st.booleans()
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, min_size=1, max_size=6),
+                min_size=1, max_size=5))
+def test_json_rows_render_as_indented_dumps(rows):
+    assert cli._emit(rows, "json") == indented_json(rows)
+
+
 def test_one_process_runs_many_commands_as_fresh_ones():
     # the parser is built once per process; no run may leave state in it
     invocations = [
@@ -338,16 +360,30 @@ def test_domain_errors_exit_4(tmp_path):
     assert run_cli(
         "tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", "100000001"
     ).returncode == 4
-    # a detrended season, a career total and a historic average that overflow
+    # a detrended season and a career total that overflow
     for rows, extra in [(DETREND_OVERFLOW_SEASON, ["--historic-average", "1"]),
-                        (DETREND_OVERFLOW_CAREER, []),
-                        (DETREND_OVERFLOW_AVERAGE, [])]:
+                        (DETREND_OVERFLOW_CAREER, [])]:
         seasons = tmp_path / "seasons.csv"
         seasons.write_text(rows)
         result = run_cli("detrend", str(seasons), *extra, "--format", "json")
         assert (result.returncode, result.stdout) == (4, "")
         assert result.stderr.startswith("eragreats: ")
         assert "overflows a double" in result.stderr
+
+
+def test_detrend_results_that_fit_past_an_overflowing_step(tmp_path):
+    seasons = tmp_path / "seasons.csv"
+    seasons.write_text(DETREND_LARGE_AVERAGE)
+    assert run_cli("detrend", str(seasons), "--format", "csv").stdout == (
+        "season,value,league_average,detrended\n"
+        "1922,1,1e+308,1\n1923,1,1e+308,1\ncareer_total,,,2\n"
+    )
+    seasons.write_text(DETREND_LARGE_PRODUCT)
+    result = run_cli("detrend", str(seasons), "--historic-average", "1e10", "--format", "csv")
+    assert result.stdout == (
+        "season,value,league_average,detrended\n"
+        "1922,1e+300,1e+20,1e+290\ncareer_total,,,1e+290\n"
+    )
 
 
 def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
@@ -467,11 +503,13 @@ def invocations(draw):
 @example(["proportion", "--population", b"\xff\xfe"])
 @example(["detrend", b"season,value,league_average\n" + b"1" * 200_000 + b"\n"])
 @example(["tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", str(10**8 + 1)])
-# a detrended season, a career total and a historic average that overflow
+# a detrended season and a career total that overflow, and results that
+# fit past an overflowing sum or product
 @example(["detrend", DETREND_OVERFLOW_SEASON.encode(), "--historic-average", "1",
           "--format", "json"])
 @example(["detrend", DETREND_OVERFLOW_CAREER.encode()])
-@example(["detrend", DETREND_OVERFLOW_AVERAGE.encode()])
+@example(["detrend", DETREND_LARGE_AVERAGE.encode()])
+@example(["detrend", DETREND_LARGE_PRODUCT.encode(), "--historic-average", "1e10"])
 def test_every_invocation_ends_with_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as directory:
         args = []

@@ -56,6 +56,9 @@ def test_detrend_value_domain():
         detrend_value(float("inf"), 5.0, 5.0)
     with pytest.raises(DomainError):
         detrend_value(1e300, 1e-300, 1.0)
+    # the product overflows, the result does not
+    assert detrend_value(1e300, 1e20, 1e10) == 1e290
+    assert detrend_value(-1e300, 1e20, 1e10) == -1e290
 
 
 def test_historic_average_is_arithmetic_mean():
@@ -65,8 +68,12 @@ def test_historic_average_is_arithmetic_mean():
         compute_historic_average([])
     with pytest.raises(DomainError):
         compute_historic_average([2.0, -1.0])
-    with pytest.raises(DomainError):
-        compute_historic_average([1e308, 1e308])
+    # the sum overflows, the mean does not
+    assert compute_historic_average([1e308, 1e308]) == 1e308
+    big = 1.7e308
+    assert compute_historic_average([big] * 3) == math.ldexp(
+        compute_historic_average([math.ldexp(big, -600)] * 3), 600
+    )
 
 
 def test_career_sums_detrended_seasons():
@@ -107,6 +114,12 @@ def test_career_overflow_is_a_domain_error():
     stats = [SeasonStat(1922, 1e308, 1.0), SeasonStat(1923, 1e308, 1.0)]
     with pytest.raises(DomainError):
         detrend_career(stats)
+
+
+def test_career_total_that_fits_after_an_overflowing_partial_sum():
+    stats = [SeasonStat(1922, 1e308, 1.0), SeasonStat(1923, 1e308, 1.0),
+             SeasonStat(1924, -1e308, 1.0)]
+    assert detrend_career(stats, historic_average=1.0) == 1e308
 
 
 def test_season_validation():

@@ -2,11 +2,22 @@
 whose message starts with the path, plus the line when a row or the
 header is at fault.  A file with a header and no data row gives one
 message from every loader, a bad cell is named by its column, and a
-repeated first-column key is refused at its line.
+repeated first-column key is refused at its line.  The columnar reader
+builds the same objects and raises the same first error as the original
+row-by-row reader kept in ``oracles``.
 """
 
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import reference_read_rows
+
+import eragreats.detrend
+import eragreats.dilution
+import eragreats.population
+import eragreats.rankings
 from eragreats import (
     DataError,
     load_league_config,
@@ -70,3 +81,112 @@ def test_loaders_reject_bad_input_alike(tmp_path, loader_name, case):
         assert str(excinfo.value) == f"{path}:3: duplicate {header.split(',')[0]} {key}"
     if case == "non-numeric":
         assert str(excinfo.value).endswith(f"bad {header.split(',')[-1]}: 'abc'")
+
+
+# the header spec each loader names, where it is not the fixed header
+HEADER_SPECS = {
+    "population": "year,population_millions[,period_length_years]",
+    "weights": "year,<regime>,...",
+}
+
+
+@pytest.mark.parametrize("loader_name", LOADERS)
+def test_header_errors_quote_the_header_as_written(tmp_path, loader_name):
+    loader, header, first, _ = LOADERS[loader_name]
+    written = f" nope , {header} "
+    path = tmp_path / f"{loader_name}.csv"
+    path.write_text(f"{written}\n{first}\n")
+    with pytest.raises(DataError) as excinfo:
+        loader(path)
+    spec = HEADER_SPECS.get(loader_name, header)
+    assert str(excinfo.value) == f"{path}:1: expected header {spec!r}, got {written!r}"
+
+
+# a valid file per loader, as rows of cells, for the mutations to work on
+BASE_FILES = {
+    "population": [["year", "population_millions", "period_length_years"],
+                   ["1890", "2.0", "10"], ["1900", "3.5", ""], ["1910", "4.25", "10"],
+                   ["1915", "1.0", "5"]],
+    "weights": [["year", "a", "b"], ["1890", "0.4", "1"], ["1900", "0.5", "0.25"],
+                ["1910", "1", "0"]],
+    "ranked": [["rank", "name", "career_start_year"], ["1", "A", "1901"], ["2", "B", "1905"],
+               ["3", "C", "1920"]],
+    "league": [["year", "teams", "roster_size"], ["1890", "8", "15"], ["1900", "12", "20"],
+               ["1910", "16", "25"]],
+    "seasons": [["season", "value", "league_average"], ["1919", "50", "0.1"],
+                ["1920", "54", "0.2"], ["1921", "-3", "1.5"]],
+}
+READERS = (eragreats.population, eragreats.rankings, eragreats.dilution, eragreats.detrend)
+
+CELLS = st.sampled_from(
+    ["abc", "", " ", "nan", "inf", "-1", "0", "0.5", "1.5", "2", "3", "11", "1e400",
+     " 1890 ", "1900", "1905", "A", " B ", "x,y", '"q"']
+) | st.text(" 0123456789.-eanifAB,", max_size=5)
+BLANKS = st.sampled_from(["", " ", ",", " , ,", "\t"])
+
+
+@st.composite
+def mutations(draw, rows):
+    """One change to ``rows``: a cell replaced, dropped or added, a blank
+    row, a key copied from another row, two rows swapped, or a row repeated."""
+    kind = draw(st.sampled_from(["cell", "drop", "add", "blank", "key", "swap", "repeat"]))
+    rows = [list(row) for row in rows]
+    if kind == "blank":
+        rows.insert(draw(st.integers(1, len(rows))), [draw(BLANKS)])
+        return rows
+    # the header is changed only cell by cell
+    row = rows[draw(st.integers(0 if kind == "cell" else 1, len(rows) - 1))]
+    other = rows[draw(st.integers(1, len(rows) - 1))]
+    c = draw(st.integers(0, len(row)))
+    if kind == "cell" and c < len(row):
+        row[c] = draw(CELLS)
+    elif kind == "drop" and c < len(row):
+        del row[c]
+    elif kind == "add":
+        row.insert(c, draw(CELLS))
+    elif kind == "key" and row and other:
+        row[0] = other[0]
+    elif kind == "swap":
+        row[:], other[:] = other[:], row[:]
+    elif kind == "repeat":
+        rows.insert(rows.index(row), list(row))
+    return rows
+
+
+@st.composite
+def mutated_files(draw):
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    rows = BASE_FILES[name]
+    for _ in range(draw(st.integers(0, 4))):
+        rows = draw(mutations(rows))
+    return name, "".join(",".join(row) + "\n" for row in rows)
+
+
+def _outcome(loader, path):
+    try:
+        return "loaded", loader(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400)
+@given(mutated_files())
+# a refused row (make) before a refused cell, a refused file (build), and
+# a wrong width after a blank row
+@example(("population", "year,population_millions\n1890,2.0\n1900,0\n1910,x\n"))
+@example(("ranked", "rank,name,career_start_year\n1,A,1901\n2, ,1905\n2,C,x\n"))
+@example(("seasons", "season,value,league_average\n1919,50,0.1\n1920,54,0\n"))
+@example(("weights", "year,a\n1890,0.4\n1900,2\n"))
+@example(("league", "year,teams,roster_size\n1890,8,15\n ,\n1890,8,15,1\n"))
+def test_loaders_match_the_row_by_row_reader(case):
+    name, text = case
+    loader = LOADERS[name][0]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{name}.csv"
+        path.write_text(text)
+        got = _outcome(loader, path)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in READERS:
+                patch.setattr(module, "read_rows", reference_read_rows)
+            expected = _outcome(loader, path)
+    assert got == expected

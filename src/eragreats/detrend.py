@@ -73,30 +73,13 @@ def _exact_sum(values: list[float]) -> int:
     return sum(num * (_UNITS // den) for num, den in map(float.as_integer_ratio, values))
 
 
-def _sum(values: Iterable[float], what: str) -> float:
-    """``math.fsum`` of finite values; an overflowing sum is a DomainError.
-
-    ``math.fsum`` refuses a sum once a partial sum overflows, even when the
-    total fits; the exact sum divided by 2**1074 is then the same
-    correctly rounded total.
-    """
-    values = list(values)
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        pass
-    try:
-        return _exact_sum(values) / _UNITS
-    except OverflowError:
-        raise DomainError(f"{what} overflows a double") from None
-
-
 def compute_historic_average(league_averages: Iterable[float]) -> float:
     """Arithmetic mean of per-season league averages.
 
-    Where the sum overflows, the exact sum is rounded at 2**-k of its
-    size, divided by the count and scaled back by ``ldexp``: the same two
-    roundings as ``fsum(values) / len(values)`` without the overflow.
+    The exact sum is rounded at 2**-k of its size, where 2**k brings it
+    under 2**1023, divided by the count and scaled back by ``ldexp``.  A
+    power of two commutes with both roundings in the normal range, so this
+    is ``fsum(values) / len(values)``, also where that sum overflows.
     """
     values = list(league_averages)
     if not values:
@@ -104,17 +87,14 @@ def compute_historic_average(league_averages: Iterable[float]) -> float:
     for v in values:
         if not v > 0 or math.isinf(v) or math.isnan(v):
             raise DomainError(f"league averages must be positive and finite, got {v!r}")
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError:
-        pass
-    # 2**k exceeds the count, so the scaled sum fits a double
-    k = len(values).bit_length()
-    return math.ldexp(_exact_sum(values) / (_UNITS << k) / len(values), k)
+    total = _exact_sum(values)
+    # 2**2097 units of 2**-1074 are 2**1023
+    k = max(0, total.bit_length() - 2097)
+    return math.ldexp(total / (_UNITS << k) / len(values), k)
 
 
 def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None = None) -> float:
-    """Sum of detrended season values.
+    """Sum of detrended season values, taken exactly and rounded once.
 
     ``historic_average`` defaults to the mean of the league averages carried
     by ``stats`` themselves.
@@ -123,10 +103,11 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
         raise DomainError("career detrending needs at least one season")
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
-    return _sum(
-        (detrend_value(s.value, s.league_average, historic_average) for s in stats),
-        "career total",
-    )
+    seasons = [detrend_value(s.value, s.league_average, historic_average) for s in stats]
+    try:
+        return _exact_sum(seasons) / _UNITS
+    except OverflowError:
+        raise DomainError("career total overflows a double") from None
 
 
 def load_season_stats(path) -> list[SeasonStat]:

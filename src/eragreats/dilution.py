@@ -42,7 +42,10 @@ class LeagueSeason:
 def per_roster_spot(season: LeagueSeason) -> float:
     """Eligible people per roster spot, in thousands."""
     spots = season.teams * season.roster_size
-    value = season.eligible_population * 1e6 / spots / 1e3
+    try:
+        value = season.eligible_population * 1e6 / spots / 1e3
+    except OverflowError:
+        raise DomainError(f"{season.year}: roster spots overflow a double") from None
     if math.isinf(value):
         raise DomainError(f"{season.year}: people per roster spot overflow a double")
     return value

@@ -15,20 +15,20 @@ from .errors import DomainError
 
 
 def format_probability(value: float, significant: int = 3) -> str:
-    """Positional rendering with a fixed number of significant figures."""
+    """Positional rendering with exactly ``significant`` figures, subnormals included."""
     if significant < 1:
         raise DomainError(f"significant figures must be >= 1, got {significant}")
     if math.isnan(value) or math.isinf(value):
         raise DomainError(f"value must be finite, got {value!r}")
     if value == 0:
         return "0"
-    exponent = math.floor(math.log10(abs(value)))
+    # the exponent of the value rounded to ``significant`` figures, carry included
+    exponent = int(f"{value:.{significant - 1}e}".partition("e")[2])
     places = significant - 1 - exponent
-    rounded = round(value, places)
-    # rounding can carry into the next power of ten (0.0999.. -> 0.100)
-    if rounded != 0 and math.floor(math.log10(abs(rounded))) != exponent:
-        places -= 1
+    try:
         rounded = round(value, places)
+    except OverflowError:
+        raise DomainError(f"{value!r} to {significant} figures overflows a double") from None
     return f"{rounded:.{max(0, places)}f}"
 
 

@@ -136,7 +136,7 @@ def _accumulate(
     """Population total through ``cutoff_year``, each period scaled by its
     ``regime`` weight, prorating any period the cutoff splits.  Summed
     with ``math.fsum`` so that the share at the final table year is
-    exactly 1.
+    exactly 1; a total that overflows a double is a DomainError.
     """
     terms = []
     for rec in table.records:
@@ -146,7 +146,10 @@ def _accumulate(
         elif rec.period_start_year < cutoff_year:
             fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
             terms.append(weight * rec.population * fraction)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"population total through {cutoff_year} overflows a double") from None
 
 
 def _check_inputs(
@@ -267,25 +270,18 @@ def _raise_first_fault(path, header, parsers, make, rows) -> None:
         try:
             if len(row) != len(parsers):
                 raise DataError(f"expected {len(parsers)} columns, got {len(row)}")
-            try:
-                values = [parse(cell) for parse, cell in zip(parsers, row)]
-            except ValueError:
-                raise _bad_cell(names, parsers, row) from None
+            values = []
+            for name, parse, cell in zip(names, parsers, row):
+                try:
+                    values.append(parse(cell))
+                except ValueError:
+                    raise DataError(f"bad {name}: {cell.strip()!r}") from None
             if values[0] in keys:
                 raise DataError(f"duplicate {names[0]} {values[0]}")
             keys.add(values[0])
             make(*values)
         except DataError as exc:
             raise DataError(str(exc), path=path, line=lineno) from None
-
-
-def _bad_cell(names, parsers, row) -> DataError:
-    """The error for the first cell of ``row`` that its parser refuses."""
-    for name, parse, cell in zip(names, parsers, row):
-        try:
-            parse(cell)
-        except ValueError:
-            return DataError(f"bad {name}: {cell.strip()!r}")
 
 
 def fixed_columns(header: str, *parsers):

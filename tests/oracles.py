@@ -10,6 +10,9 @@ The exact oracle reads the bundled CSV text itself and computes shares,
 tails and "1 in N" displays in rational arithmetic.  Like the
 enumeration oracle it imports nothing from the package.
 
+``significant_figures`` rounds the exact binary value of a double in
+``Decimal`` arithmetic, as the reference for ``format_probability``.
+
 ``reference_binomial_tail`` keeps the package's original tail kernel
 (a fresh ``math.comb`` per term, then the exact-rational fallback) as
 the reference the faster kernel must match bit for bit.
@@ -31,7 +34,7 @@ import csv
 import itertools
 import json
 import math
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +215,20 @@ def rounded_half_up(value: Fraction, whole_from) -> str:
         return str(math.floor(value + Fraction(1, 2)))
     whole, tenth = divmod(math.floor(10 * value + Fraction(1, 2)), 10)
     return str(whole) if tenth == 0 else f"{whole}.{tenth}"
+
+
+def significant_figures(value: float, significant: int) -> str:
+    """The exact binary ``value`` rounded half even to ``significant``
+    significant figures in decimal arithmetic, written positionally."""
+    if value == 0:
+        return "0"
+    with localcontext() as context:
+        context.prec = significant
+        context.rounding = ROUND_HALF_EVEN
+        rounded = +Decimal(value)
+        # keep trailing zeros: the last figure sits at 10**(exponent - significant + 1)
+        last = Decimal(1).scaleb(rounded.adjusted() - significant + 1)
+        return format(rounded.quantize(last), "f")
 
 
 def one_in_n(probability) -> str:

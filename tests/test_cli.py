@@ -430,7 +430,8 @@ def test_errors_go_to_stderr_not_stdout():
 NUMBER = st.one_of(
     st.integers(-10**25, 10**25).map(str),
     st.floats().map(repr),
-    st.sampled_from(["", "nan", "-inf", "1e309", "2e302", "5e-324", "1_0", "0x10", "ten"]),
+    st.sampled_from(["", "nan", "-inf", "1e309", "2e302", "5e-324", "1_0", "0x10", "ten",
+                     "1" + "0" * 400, "1.7976931348623157e308"]),
 )
 YEAR = st.one_of(st.integers(1860, 2030).map(str), NUMBER)
 COUNT = st.one_of(st.integers(-2, 1010).map(str), NUMBER)
@@ -499,6 +500,12 @@ def invocations(draw):
 # people per roster spot that overflow a double
 @example(["dilution", "--population", b"year,population_millions\n1890,2e302\n",
           "--league", b"year,teams,roster_size\n1890,8,15\n"])
+# roster spots past the double range, and a population total that overflows
+@example(["dilution", "--league",
+          b"year,teams,roster_size\n1890,1" + b"0" * 400 + b",25\n"])
+@example(["proportion", "--population",
+          b"year,population_millions,period_length_years\n1880,1e308,10\n1890,1e308,1\n",
+          "--cutoff", "1890"])
 @example(["tail", "--n", "10", "--k", "2", "--p", "0.5", "--trials", "10", "--seed", "-1"])
 @example(["proportion", "--population", b"\xff\xfe"])
 @example(["detrend", b"season,value,league_average\n" + b"1" * 200_000 + b"\n"])

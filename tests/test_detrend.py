@@ -1,9 +1,12 @@
 """Era detrending: single values, careers, and the historic average."""
 
 import math
+import re
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eragreats import (
     DataError,
@@ -74,6 +77,54 @@ def test_historic_average_is_arithmetic_mean():
     assert compute_historic_average([big] * 3) == math.ldexp(
         compute_historic_average([math.ldexp(big, -600)] * 3), 600
     )
+
+
+# every positive double, with the largest ones often enough that sums overflow
+positive_doubles = st.one_of(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.sampled_from([5e-324, 1e308, sys.float_info.max]),
+)
+signed_doubles = st.one_of(positive_doubles, positive_doubles.map(float.__neg__))
+
+
+def _rounded(x: Fraction) -> Fraction:
+    """Positive ``x`` rounded to a double, as if the exponent had no top."""
+    shift = max(0, x.numerator.bit_length() - x.denominator.bit_length() - 1000)
+    return Fraction(float(x / 2**shift)) * 2**shift
+
+
+@given(st.lists(positive_doubles, min_size=1, max_size=8))
+@example([sys.float_info.max] * 3)
+def test_historic_average_is_the_rounded_sum_over_the_count(values):
+    # fsum(values) / len(values), also where fsum overflows
+    expected = float(_rounded(sum(map(Fraction, values))) / len(values))
+    assert compute_historic_average(values) == expected
+
+
+@given(st.lists(st.tuples(signed_doubles, positive_doubles), min_size=1, max_size=8),
+       st.one_of(st.none(), positive_doubles))
+@example([(1e308, 1.0), (1e308, 1.0), (-1e308, 1.0)], 1.0)
+@example([(1e308, 1.0), (1e308, 1.0)], None)
+def test_career_is_the_rounded_sum_of_its_seasons(rows, historic):
+    stats = [SeasonStat(1900 + i, value, league) for i, (value, league) in enumerate(rows)]
+    if historic is None:
+        average = compute_historic_average(league for _, league in rows)
+    else:
+        average = historic
+    try:
+        seasons = [detrend_value(s.value, s.league_average, average) for s in stats]
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            detrend_career(stats, historic)
+        return
+    try:
+        # fsum(seasons), correctly rounded, overflows where this does
+        expected = float(sum(map(Fraction, seasons)))
+    except OverflowError:
+        with pytest.raises(DomainError, match="career total overflows a double"):
+            detrend_career(stats, historic)
+    else:
+        assert detrend_career(stats, historic) == expected
 
 
 def test_career_sums_detrended_seasons():

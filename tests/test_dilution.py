@@ -68,6 +68,9 @@ def test_overflowing_value_is_a_domain_error():
     # about 1.8e302 million people and up overflow a double once in people
     with pytest.raises(DomainError):
         per_roster_spot(LeagueSeason(1890, 2e302, 8, 15))
+    # roster spots past the double range cannot divide a double
+    with pytest.raises(DomainError, match="roster spots overflow"):
+        per_roster_spot(LeagueSeason(1890, 5.01, 10**400, 25))
 
 
 def test_bundled_league_history(table):

@@ -1,5 +1,6 @@
 """Positional significant-figure rendering and the half-up display rule."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from eragreats import DomainError, format_probability, format_proportion
 from eragreats.formatting import half_up
-from oracles import rounded_half_up
+from oracles import rounded_half_up, significant_figures
 
 
 def test_three_significant_figures_positional():
@@ -35,6 +36,27 @@ def test_requested_precision_is_respected():
 def test_rounding_that_crosses_a_power_of_ten():
     assert format_probability(0.0999999) == "0.100"
     assert format_probability(0.9996) == "1.00"
+
+
+@given(
+    value=st.one_of(
+        st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),
+        st.floats(min_value=sys.float_info.min, max_value=1e15, exclude_max=True),
+    ),
+    significant=st.integers(1, 6),
+)
+# subnormals whose rounded value is no exact double, so that a log10 of it
+# would misplace the exponent by one, and the smallest subnormal
+@example(value=9.99989e-321, significant=3)
+@example(value=1.00295e-321, significant=2)
+@example(value=5e-324, significant=6)
+def test_matches_exact_decimal_rounding(value, significant):
+    assert format_probability(value, significant) == significant_figures(value, significant)
+
+
+def test_rounding_past_the_largest_double_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows a double"):
+        format_probability(sys.float_info.max)
 
 
 def test_proportion_uses_three_decimals():

@@ -138,6 +138,15 @@ def test_all_zero_weights_are_rejected(table):
         cumulative_proportion(table, 1950, regime=zero)
 
 
+def test_a_total_that_overflows_a_double_is_a_domain_error():
+    table = PopulationTable((PopulationRecord(1880, 1e308), PopulationRecord(1890, 1e308, 1)))
+    assert cumulative_population(table, 1880) == 1e308
+    with pytest.raises(DomainError, match="population total through 1890 overflows"):
+        cumulative_population(table, 1890)
+    with pytest.raises(DomainError, match="population total through 1890 overflows"):
+        cumulative_proportion(table, 1880)
+
+
 # ------------------------------------------------------- property tests
 
 @st.composite

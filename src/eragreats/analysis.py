@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import DomainError
 from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
 from .rankings import RankedList, count_early
-from .tailprob import Chance, binomial_tail, chance_format
+from .tailprob import Chance, _check_tail_args, _tails, binomial_tail, chance_format
 
 if TYPE_CHECKING:
     import numpy
@@ -61,16 +61,16 @@ def _chance(probability: float) -> Chance:
 
 
 def _report(
-    source: str, depth: int, early: int, proportion: float, regime: str | None = None
+    source: str, depth: int, early: int, proportion: float, chance: Chance,
+    regime: str | None = None,
 ) -> OverrepReport:
-    probability = binomial_tail(depth, early, proportion)
     return OverrepReport(
         source=source,
         depth=depth,
         early_count=early,
         proportion_used=proportion,
-        tail_probability=probability,
-        chance=_chance(probability),
+        tail_probability=chance.probability,
+        chance=chance,
         regime=regime,
     )
 
@@ -105,10 +105,12 @@ def sensitivity_matrix(
     unweighted reports.
 
     Each cell needs its list's span check, its regime's share and its
-    (list, depth) early count, in that order.  Each is computed the first
-    time a cell needs it and reused after, so the checks run in the order
-    that checking every cell afresh would run them, and the first error
-    is the same.
+    (list, depth) early count, in that order, and then its tail's argument
+    check.  Each is computed the first time a cell needs it and reused
+    after, so the checks run in the order that checking every cell afresh
+    would run them, and the first error is the same.  The tails of one
+    (regime, depth) come from one term pass, and cells with the same early
+    count share one ``Chance``.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -123,6 +125,7 @@ def sensitivity_matrix(
         proportion = None
         name = None if regime is None else regime.name
         for depth in depths:
+            counts = []
             for i, ranked in enumerate(lists):
                 if i not in checked:
                     _check_span(ranked, table)
@@ -131,7 +134,14 @@ def sensitivity_matrix(
                     proportion = cumulative_proportion(table, cutoff_year, regime=regime)
                 if (i, depth) not in early:
                     early[i, depth] = count_early(ranked, depth, cutoff_year)
-                reports.append(_report(ranked.source, depth, early[i, depth], proportion, name))
+                _check_tail_args(depth, early[i, depth], proportion)
+                counts.append(early[i, depth])
+            ks = list(dict.fromkeys(counts))
+            chances = {k: _chance(t) for k, t in zip(ks, _tails(depth, ks, proportion))}
+            reports.extend(
+                _report(ranked.source, depth, k, proportion, chances[k], name)
+                for ranked, k in zip(lists, counts)
+            )
     return reports
 
 
@@ -157,7 +167,12 @@ def bridge_check(
         raise DomainError("bridge check needs at least one (depth, count) pair")
     era = cumulative_population(table, era_cutoff_year)
     pool = cumulative_population(table, pool_cutoff_year)
-    return [_report("external", depth, early, era / pool) for depth, early in counts]
+    proportion = era / pool
+    return [
+        _report("external", depth, early, proportion,
+                _chance(binomial_tail(depth, early, proportion)))
+        for depth, early in counts
+    ]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

@@ -28,8 +28,8 @@ from .defaults import (
     default_ranked_lists,
 )
 from .detrend import (
+    _career_total,
     compute_historic_average,
-    detrend_career,
     detrend_value,
     load_season_stats,
 )
@@ -283,7 +283,7 @@ def _cmd_detrend(args) -> str:
          "detrended": detrend_value(s.value, s.league_average, historic)}
         for s in stats
     ]
-    total = detrend_career(stats, historic)
+    total = _career_total([row["detrended"] for row in rows])
     if args.format == "json":
         return _emit({"historic_average": historic, "seasons": rows, "career_total": total},
                      "json")

@@ -103,7 +103,13 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
         raise DomainError("career detrending needs at least one season")
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
-    seasons = [detrend_value(s.value, s.league_average, historic_average) for s in stats]
+    return _career_total(
+        [detrend_value(s.value, s.league_average, historic_average) for s in stats]
+    )
+
+
+def _career_total(seasons: list[float]) -> float:
+    """The exact sum of detrended ``seasons``, rounded once to a double."""
     try:
         return _exact_sum(seasons) / _UNITS
     except OverflowError:

@@ -22,14 +22,16 @@ def format_probability(value: float, significant: int = 3) -> str:
         raise DomainError(f"value must be finite, got {value!r}")
     if value == 0:
         return "0"
-    # the exponent of the value rounded to ``significant`` figures, carry included
-    exponent = int(f"{value:.{significant - 1}e}".partition("e")[2])
-    places = significant - 1 - exponent
-    try:
-        rounded = round(value, places)
-    except OverflowError:
-        raise DomainError(f"{value!r} to {significant} figures overflows a double") from None
-    return f"{rounded:.{max(0, places)}f}"
+    # one correctly rounded step, carry included; then move the point
+    mantissa, _, exponent = f"{abs(value):.{significant - 1}e}".partition("e")
+    digits = mantissa.replace(".", "")
+    sign = "-" if value < 0 else ""
+    point = int(exponent) + 1  # figures before the decimal point
+    if point >= significant:
+        return sign + digits + "0" * (point - significant)
+    if point <= 0:
+        digits, point = "0" * (1 - point) + digits, 1
+    return f"{sign}{digits[:point]}.{digits[point:]}"
 
 
 def format_proportion(value: float) -> str:

@@ -246,12 +246,22 @@ def read_rows(path, columns, make, build=list):
 
 def _by_column(parsers, make, rows):
     """``make(*values)`` for each of ``rows``, parsed one column at a time,
-    or None when a row's width differs from the header's or a key repeats.
-    A refused cell raises ValueError, a refused row DataError.
+    or None when a row's width differs from the header's, a key repeats or
+    a ``finite`` column holds nan or an infinity.  A refused cell raises
+    ValueError, a refused row DataError.
     """
     if set(map(len, rows)) != {len(parsers)}:
         return None
-    columns = [list(map(parse, column)) for parse, column in zip(parsers, zip(*rows))]
+    columns = []
+    for parse, column in zip(parsers, zip(*rows)):
+        if parse is finite:
+            # ``finite`` is ``float`` plus a check: both run in C this way
+            values = list(map(float, column))
+            if not all(map(math.isfinite, values)):
+                return None
+        else:
+            values = list(map(parse, column))
+        columns.append(values)
     if len(set(columns[0])) != len(rows):
         return None
     return list(map(make, *columns))

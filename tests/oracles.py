@@ -240,9 +240,10 @@ def one_in_n(probability) -> str:
 def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
     """Reports for every (regime, depth, list) cell, in that order, each
     cell running all its steps afresh; a ``None`` regime is unweighted."""
-    from eragreats.analysis import _check_span, _report
+    from eragreats.analysis import _chance, _check_span, _report
     from eragreats.population import cumulative_proportion
     from eragreats.rankings import count_early
+    from eragreats.tailprob import binomial_tail
 
     reports = []
     for regime in regimes:
@@ -252,7 +253,8 @@ def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
                 proportion = cumulative_proportion(table, cutoff_year, regime=regime)
                 early = count_early(ranked, depth, cutoff_year)
                 name = None if regime is None else regime.name
-                reports.append(_report(ranked.source, depth, early, proportion, name))
+                chance = _chance(binomial_tail(depth, early, proportion))
+                reports.append(_report(ranked.source, depth, early, proportion, chance, name))
     return reports
 
 

@@ -186,6 +186,25 @@ def test_grid_raises_the_per_cell_loops_first_error(
     )
 
 
+@pytest.mark.parametrize("fault", ["short", "stray"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_grid_checks_a_cells_tail_before_the_next_list(table, regimes, fault, weighted):
+    # depth 1001 is a valid count for the long list and past the tail's
+    # MAX_TRIALS: its first cell must fail there, before the faulty list's
+    # span check or count runs
+    years = range(table.first_year + 1, table.final_year + 1)
+    long = RankedList("long", tuple(
+        PlayerEntry(r, f"p{r}", years[r % len(years)]) for r in range(1, 1002)))
+    entries = [PlayerEntry(1, "a", 1900), PlayerEntry(2, "b", 1960)]
+    if fault == "stray":
+        entries += [PlayerEntry(3, "c", table.first_year)]
+    args = ([long, RankedList("other", tuple(entries))],
+            [regimes["w2"] if weighted else None], [1001], 1950, table)
+    expected = outcome(per_cell_reports, *args)
+    assert expected == (DomainError, "n must be in [1, 1000], got 1001")
+    assert outcome(sensitivity_matrix, *args) == expected
+
+
 # --------------------------------------------------------------- bridge
 
 def test_bridge_uses_prorated_pool_ratio(table):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import cli
+from eragreats import cli, detrend_career, load_season_stats
 from eragreats.defaults import data_path
 from oracles import exact_binomial_tail, indented_json, one_in_n, per_cell_reports
 
@@ -384,6 +384,21 @@ def test_detrend_results_that_fit_past_an_overflowing_step(tmp_path):
         "season,value,league_average,detrended\n"
         "1922,1e+300,1e+20,1e+290\ncareer_total,,,1e+290\n"
     )
+
+
+def test_detrend_total_is_the_library_career_total(tmp_path):
+    # the running sum of the seasons overflows a double, the total does not
+    seasons = tmp_path / "seasons.csv"
+    seasons.write_text(
+        "season,value,league_average\n1922,1e308,1\n1923,1e308,1\n1924,-1e308,1\n"
+        "1925,3e-324,1\n1926,1.5,0.7\n"
+    )
+    stats = load_season_stats(seasons)
+    for flags, historic in (([], None), (["--historic-average", "1.25"], 1.25)):
+        code, stdout, _ = run_main(["detrend", str(seasons), *flags, "--format", "json"])
+        assert code == 0
+        total = json.loads(stdout)["career_total"]
+        assert total.hex() == detrend_career(stats, historic).hex()
 
 
 def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):

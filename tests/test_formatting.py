@@ -41,7 +41,7 @@ def test_rounding_that_crosses_a_power_of_ten():
 @given(
     value=st.one_of(
         st.floats(min_value=5e-324, max_value=sys.float_info.min, exclude_max=True),
-        st.floats(min_value=sys.float_info.min, max_value=1e15, exclude_max=True),
+        st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
     ),
     significant=st.integers(1, 6),
 )
@@ -50,13 +50,18 @@ def test_rounding_that_crosses_a_power_of_ten():
 @example(value=9.99989e-321, significant=3)
 @example(value=1.00295e-321, significant=2)
 @example(value=5e-324, significant=6)
+# from about 1e22 up, the double nearest a round value is not round
+@example(value=1e23, significant=3)
+@example(value=1.234e25, significant=3)
+@example(value=sys.float_info.max, significant=6)
 def test_matches_exact_decimal_rounding(value, significant):
     assert format_probability(value, significant) == significant_figures(value, significant)
 
 
-def test_rounding_past_the_largest_double_is_a_domain_error():
-    with pytest.raises(DomainError, match="overflows a double"):
-        format_probability(sys.float_info.max)
+def test_large_values_print_every_figure():
+    assert format_probability(1e23) == "100000000000000000000000"
+    assert format_probability(sys.float_info.max) == "180" + "0" * 306
+    assert format_probability(sys.float_info.max, significant=17) == "17976931348623157" + "0" * 292
 
 
 def test_proportion_uses_three_decimals():

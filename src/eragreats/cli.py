@@ -223,15 +223,17 @@ def _cmd_tail(args) -> str:
     return _emit([row], args.format)
 
 
-def _report_row(report) -> dict:
-    return {
-        "source": report.source,
-        "depth": report.depth,
-        "early_count": report.early_count,
-        "proportion": report.proportion_used,
-        "probability": report.tail_probability,
-        "chance": report.chance.display,
-    }
+def _report_row(report, regime: bool = False) -> dict:
+    """The row of one report, led by its ``regime`` column when ``regime``
+    is true; built as one dict, since a grid renders thousands."""
+    row = {"regime": report.regime} if regime else {}
+    row["source"] = report.source
+    row["depth"] = report.depth
+    row["early_count"] = report.early_count
+    row["proportion"] = report.proportion_used
+    row["probability"] = report.tail_probability
+    row["chance"] = report.chance.display
+    return row
 
 
 def _cmd_analyze(args) -> str:
@@ -247,7 +249,7 @@ def _cmd_sensitivity(args) -> str:
     regimes = list(load_weight_regimes(args.weights).values())
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
-    return _emit([{"regime": r.regime, **_report_row(r)} for r in reports], args.format)
+    return _emit([_report_row(r, regime=True) for r in reports], args.format)
 
 
 def _cmd_bridge(args) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import Mapping
 from .errors import DataError, DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PopulationRecord:
     """One period of the eligible-population table.
 
@@ -42,17 +43,23 @@ class PopulationRecord:
     population: float
     period_length_years: int = 10
 
-    def __post_init__(self):
-        if not self.population > 0:
+    def __init__(self, period_end_year: int, population: float, period_length_years: int = 10):
+        # checked, then stored straight into the instance dict, as
+        # ``PlayerEntry`` is: a loader builds one record per row
+        if not population > 0:
             raise DataError(
-                f"population for period ending {self.period_end_year} must be "
-                f"positive, got {self.population!r}"
+                f"population for period ending {period_end_year} must be "
+                f"positive, got {population!r}"
             )
-        if not 1 <= self.period_length_years <= 10:
+        if not 1 <= period_length_years <= 10:
             raise DataError(
-                f"period length for {self.period_end_year} must be between 1 "
-                f"and 10 years, got {self.period_length_years!r}"
+                f"period length for {period_end_year} must be between 1 "
+                f"and 10 years, got {period_length_years!r}"
             )
+        fields = self.__dict__
+        fields["period_end_year"] = period_end_year
+        fields["population"] = population
+        fields["period_length_years"] = period_length_years
 
     @property
     def period_start_year(self) -> int:
@@ -118,8 +125,8 @@ class WeightRegime:
 
 def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
     table_years = set(table.years)
-    regime_years = set(regime.weights)
-    if table_years != regime_years:
+    regime_years = regime.weights.keys()
+    if regime_years != table_years:
         missing = sorted(table_years - regime_years)
         extra = sorted(regime_years - table_years)
         parts = []
@@ -130,22 +137,35 @@ def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
         raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
 
 
-def _accumulate(
-    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None
-) -> float:
-    """Population total through ``cutoff_year``, each period scaled by its
-    ``regime`` weight, prorating any period the cutoff splits.  Summed
-    with ``math.fsum`` so that the share at the final table year is
+def _terms(table: PopulationTable, regime: WeightRegime | None) -> list[float]:
+    """Each period's population, scaled by its ``regime`` weight."""
+    if regime is None:
+        return [rec.population for rec in table.records]
+    weights = regime.weights
+    return [weights[rec.period_end_year] * rec.population for rec in table.records]
+
+
+def _through(table: PopulationTable, terms: list[float], cutoff_year: int) -> list[float]:
+    """The period ``terms`` through ``cutoff_year``, prorating the period
+    the cutoff splits."""
+    through = []
+    for rec, term in zip(table.records, terms):
+        if rec.period_end_year <= cutoff_year:
+            through.append(term)
+            continue
+        # periods are ordered and do not overlap, so no later one counts
+        if rec.period_start_year < cutoff_year:
+            fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
+            through.append(term * fraction)
+        break
+    return through
+
+
+def _sum(terms: list[float], cutoff_year: int) -> float:
+    """The population total through ``cutoff_year`` from its ``terms``.
+    Summed with ``math.fsum`` so that the share at the final table year is
     exactly 1; a total that overflows a double is a DomainError.
     """
-    terms = []
-    for rec in table.records:
-        weight = 1.0 if regime is None else regime.weights[rec.period_end_year]
-        if rec.period_end_year <= cutoff_year:
-            terms.append(weight * rec.population)
-        elif rec.period_start_year < cutoff_year:
-            fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
-            terms.append(weight * rec.population * fraction)
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -172,7 +192,7 @@ def cumulative_population(
     """Eligible population (millions) that existed through ``cutoff_year``,
     each period scaled by its ``regime`` weight when one is given."""
     _check_inputs(table, cutoff_year, regime)
-    return _accumulate(table, cutoff_year, regime)
+    return _sum(_through(table, _terms(table, regime), cutoff_year), cutoff_year)
 
 
 def cumulative_proportion(
@@ -183,12 +203,13 @@ def cumulative_proportion(
     With a ``regime``, each period's population is scaled by its weight in
     both the numerator and the denominator; uniform weights give the
     unweighted share.  No intermediate rounding: the ratio is taken
-    between two full-precision accumulations, and equals exactly 1.0 at
-    the table's final year.
+    between two full-precision sums of one list of period terms, and
+    equals exactly 1.0 at the table's final year.
     """
     _check_inputs(table, cutoff_year, regime)
-    numerator = _accumulate(table, cutoff_year, regime)
-    denominator = _accumulate(table, table.final_year, regime)
+    terms = _terms(table, regime)
+    numerator = _sum(_through(table, terms, cutoff_year), cutoff_year)
+    denominator = _sum(terms, table.final_year)
     if denominator == 0.0:
         raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
     return numerator / denominator
@@ -206,7 +227,9 @@ def read_rows(path, columns, make, build=list):
     the header; a refused cell is ``bad <column>: '<cell>'``, and a repeated
     value of the first column, the key, is ``duplicate <column> <value>``.
     An empty path and a file with no data row are refused.  A DataError
-    gains the path, plus the line when the header or a row is at fault.
+    gains ``Path(path)``, plus the line when the header or a row is at
+    fault; the file is opened by the path as given, and a ``Path`` is built
+    only for such an error.
 
     The data rows are checked and parsed one column at a time; only when
     that pass finds a fault are they read again row by row, to raise the
@@ -214,24 +237,24 @@ def read_rows(path, columns, make, build=list):
     """
     if not path:
         raise DataError("empty file path")
-    path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        # os.fspath refuses an int, which open would take for a file descriptor
+        with open(os.fspath(path), newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None
+        raise DataError(f"cannot read file: {exc.strerror or exc}", path=Path(path)) from None
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot parse file: {exc}", path=path) from None
+        raise DataError(f"cannot parse file: {exc}", path=Path(path)) from None
     if not rows:
-        raise DataError("file is empty", path=path)
+        raise DataError("file is empty", path=Path(path))
     try:
         parsers = columns(rows[0])
     except DataError as exc:
-        raise DataError(str(exc), path=path, line=1) from None
+        raise DataError(str(exc), path=Path(path), line=1) from None
     header, data = rows[0], rows[1:]
     kept = list(compress(data, map(str.strip, map("".join, data))))
     if not kept:
-        raise DataError("no data rows found", path=path)
+        raise DataError("no data rows found", path=Path(path))
     try:
         parsed = _by_column(parsers, make, kept)
     except (ValueError, DataError):
@@ -241,7 +264,7 @@ def read_rows(path, columns, make, build=list):
     try:
         return build(parsed)
     except DataError as exc:
-        raise DataError(str(exc), path=path) from None
+        raise DataError(str(exc), path=Path(path)) from None
 
 
 def _by_column(parsers, make, rows):
@@ -291,7 +314,7 @@ def _raise_first_fault(path, header, parsers, make, rows) -> None:
             keys.add(values[0])
             make(*values)
         except DataError as exc:
-            raise DataError(str(exc), path=path, line=lineno) from None
+            raise DataError(str(exc), path=Path(path), line=lineno) from None
 
 
 def fixed_columns(header: str, *parsers):

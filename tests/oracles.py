@@ -22,6 +22,11 @@ row at a time, as the reference the columnar reader must match in every
 object it builds and every error it raises; ``indented_json`` is the
 original JSON rendering the row encoder must match byte for byte.
 
+``reference_cumulative_population`` and ``reference_cumulative_proportion``
+keep the package's original share functions, one walk of the table per
+total, as the reference the one-term-list shares must match bit for bit
+and in every error they raise.
+
 ``per_cell_reports`` keeps the plain per-cell loop over a report grid
 (span check, share, early count and tail for every cell, nothing reused
 between cells), built from the package's own steps, as the reference
@@ -235,6 +240,68 @@ def one_in_n(probability) -> str:
     """ "1 in N" with N the exact reciprocal rounded half up: to a whole
     number from 10 on, to one decimal below 10, dropping a trailing ".0"."""
     return f"1 in {rounded_half_up(1 / Fraction(probability), 10)}"
+
+
+def _reference_check_inputs(table, cutoff_year: int, regime) -> None:
+    from eragreats.errors import DataError, DomainError
+
+    if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
+        raise DomainError(f"cutoff year must be an integer, got {cutoff_year!r}")
+    if not table.first_year < cutoff_year <= table.final_year:
+        raise DomainError(
+            f"cutoff year {cutoff_year} is outside the covered span "
+            f"({table.first_year}, {table.final_year}]"
+        )
+    if regime is None:
+        return
+    table_years = set(table.years)
+    regime_years = set(regime.weights)
+    if table_years != regime_years:
+        missing = sorted(table_years - regime_years)
+        extra = sorted(regime_years - table_years)
+        parts = []
+        if missing:
+            parts.append(f"missing weights for {missing}")
+        if extra:
+            parts.append(f"weights for unknown years {extra}")
+        raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
+
+
+def _reference_accumulate(table, cutoff_year: int, regime) -> float:
+    """The weighted total through ``cutoff_year`` from one walk of the
+    whole table, prorating a split period, summed by ``fsum``."""
+    from eragreats.errors import DomainError
+
+    terms = []
+    for rec in table.records:
+        weight = 1.0 if regime is None else regime.weights[rec.period_end_year]
+        if rec.period_end_year <= cutoff_year:
+            terms.append(weight * rec.population)
+        elif rec.period_start_year < cutoff_year:
+            fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
+            terms.append(weight * rec.population * fraction)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"population total through {cutoff_year} overflows a double") from None
+
+
+def reference_cumulative_population(table, cutoff_year: int, regime=None) -> float:
+    _reference_check_inputs(table, cutoff_year, regime)
+    return _reference_accumulate(table, cutoff_year, regime)
+
+
+def reference_cumulative_proportion(table, cutoff_year: int, regime=None) -> float:
+    """The share as two walks of the table: the total through the cutoff,
+    then the total through the final year."""
+    from eragreats.errors import DomainError
+
+    _reference_check_inputs(table, cutoff_year, regime)
+    numerator = _reference_accumulate(table, cutoff_year, regime)
+    denominator = _reference_accumulate(table, table.final_year, regime)
+    if denominator == 0.0:
+        raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
+    return numerator / denominator
 
 
 def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:

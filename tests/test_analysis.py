@@ -160,6 +160,23 @@ def test_grid_matches_per_cell_loop(table, regimes, data):
     assert outcome(sensitivity_matrix, *args) == outcome(per_cell_reports, *args)
 
 
+def test_grid_matches_per_cell_loop_on_distinct_counts_in_each_group(table, regimes):
+    # every (regime, depth) group holds three distinct early counts, none
+    # settled by a cheap return, so each cell's tail must be its own suffix
+    # of the group's one term list and not the sum of the whole list
+    starts = {"a": [1900, 1900, 1900, 1990, 1990],
+              "b": [1900, 1990, 1990, 1900, 1990],
+              "c": [1900, 1900, 1990, 1900, 1900]}
+    lists = [
+        RankedList(source, tuple(PlayerEntry(r, f"p{r}", y) for r, y in enumerate(years, 1)))
+        for source, years in starts.items()
+    ]
+    args = (lists, [regimes["w1"], regimes["w2"]], [3, 5], 1950, table)
+    got = outcome(sensitivity_matrix, *args)
+    assert [cell[2] for cell in got] == [3, 1, 2, 3, 2, 4] * 2
+    assert got == outcome(per_cell_reports, *args)
+
+
 @pytest.mark.parametrize("late_list", range(3))
 @pytest.mark.parametrize("short_regime", range(3))
 @pytest.mark.parametrize("deep_depth", range(2))

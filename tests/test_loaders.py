@@ -57,30 +57,41 @@ CASES = {
 }
 
 
+# how a caller may name a file: the reader opens it as given, and its
+# errors name Path(given)
+PATH_FORMS = {
+    "str": str,
+    "unnormalized-str": lambda path: f"{path.parent}//{path.name}",
+    "path": lambda path: path,
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("loader_name", LOADERS)
 def test_loaders_reject_bad_input_alike(tmp_path, loader_name, case):
     loader, header, first, second = LOADERS[loader_name]
     good = tmp_path / "good.csv"
     good.write_text(f"{header}\n{first}\n{second.format(first.rsplit(',', 1)[1])}\n")
-    loader(good)
-
     text_of, line = CASES[case]
     path = tmp_path / f"{loader_name}.csv"
     if text_of is not None:
         path.write_text(text_of(header, first, second))
-    with pytest.raises(DataError) as excinfo:
-        loader(path)
-    where = f"{path}:{line}: " if line is not None else f"{path}: "
-    assert str(excinfo.value).startswith(where)
-    assert (excinfo.value.path, excinfo.value.line) == (path, line)
-    if case == "header-only":
-        assert str(excinfo.value) == f"{path}: no data rows found"
-    if case == "duplicate-key":
-        key = first.split(",")[0]
-        assert str(excinfo.value) == f"{path}:3: duplicate {header.split(',')[0]} {key}"
-    if case == "non-numeric":
-        assert str(excinfo.value).endswith(f"bad {header.split(',')[-1]}: 'abc'")
+    for form, name_of in PATH_FORMS.items():
+        loader(name_of(good))
+        given = name_of(path)
+        with pytest.raises(DataError) as excinfo:
+            loader(given)
+        assert Path(given) == path, form
+        where = f"{path}:{line}: " if line is not None else f"{path}: "
+        assert str(excinfo.value).startswith(where), form
+        assert (excinfo.value.path, excinfo.value.line) == (Path(given), line), form
+        if case == "header-only":
+            assert str(excinfo.value) == f"{path}: no data rows found"
+        if case == "duplicate-key":
+            key = first.split(",")[0]
+            assert str(excinfo.value) == f"{path}:3: duplicate {header.split(',')[0]} {key}"
+        if case == "non-numeric":
+            assert str(excinfo.value).endswith(f"bad {header.split(',')[-1]}: 'abc'")
 
 
 # the header spec each loader names, where it is not the fixed header

@@ -2,11 +2,13 @@
 weighting, and structural validation.
 """
 
+import dataclasses
 import math
 import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import reference_cumulative_population, reference_cumulative_proportion
 
 from eragreats import (
     DataError,
@@ -205,19 +207,96 @@ def test_weighted_share_with_uniform_weights_is_identity(table, data):
     )
 
 
+# populations from tiny to a pair that overflows a double, and weights at
+# and between the ends of [0, 1]
+POPULATIONS = st.floats(1e-3, 5000.0) | st.sampled_from([5e-324, 1e308, 1.7976931348623157e308])
+WEIGHTS = st.sampled_from([0.0, 0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def shares(draw):
+    """A table with gaps and short periods, a regime (none, fitting, or
+    missing or adding a year) and a cutoff inside, at or past the span."""
+    end = draw(st.integers(1800, 1900))
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 10))
+        end += draw(st.integers(0, 3)) + length
+        records.append(PopulationRecord(end, draw(POPULATIONS), length))
+    table = PopulationTable(tuple(records))
+    regime = None
+    kind = draw(st.sampled_from(["none", "none", "fit", "fit", "fit", "fit", "missing", "extra"]))
+    if kind != "none":
+        weights = {year: draw(WEIGHTS) for year in table.years}
+        if kind == "missing":
+            del weights[draw(st.sampled_from(table.years))]
+        elif kind == "extra":
+            weights[table.final_year + draw(st.integers(1, 5))] = 1.0
+        regime = WeightRegime("r", weights)
+    if draw(st.integers(0, 3)):
+        cutoff = draw(st.integers(table.first_year + 1, table.final_year))
+    else:
+        cutoff = draw(st.sampled_from([table.first_year, table.final_year + 1]))
+    return table, cutoff, regime
+
+
+def _share_outcome(share, *args):
+    try:
+        return share(*args).hex()
+    except (DataError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(shares())
+def test_shares_match_two_walks_of_the_table(case):
+    table, cutoff, regime = case
+    assert _share_outcome(cumulative_population, table, cutoff, regime) == _share_outcome(
+        reference_cumulative_population, table, cutoff, regime
+    )
+    assert _share_outcome(cumulative_proportion, table, cutoff, regime) == _share_outcome(
+        reference_cumulative_proportion, table, cutoff, regime
+    )
+
+
 # ------------------------------------------------------------ structure
 
 def test_record_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(
+        DataError, match=r"^population for period ending 1950 must be positive, got -1\.0$"
+    ):
         PopulationRecord(1950, -1.0)
     with pytest.raises(DataError):
         PopulationRecord(1950, 0.0)
     with pytest.raises(DataError):
         PopulationRecord(1950, 5.0, 0)
-    with pytest.raises(DataError):
+    with pytest.raises(
+        DataError, match=r"^period length for 1950 must be between 1 and 10 years, got 11$"
+    ):
         PopulationRecord(1950, 5.0, 11)
     assert PopulationRecord(1950, 5.0).period_start_year == 1940
     assert PopulationRecord(2015, 5.0, 5).period_start_year == 2010
+
+
+def test_record_behaves_as_a_frozen_dataclass():
+    record = PopulationRecord(1950, 5.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.population = 6.0
+    with pytest.raises(DataError, match=r"^population for period ending 1950 must be"):
+        dataclasses.replace(record, population=0.0)
+    with pytest.raises(DataError, match=r"^period length for 1950 must be between"):
+        dataclasses.replace(record, period_length_years=0)
+    short = dataclasses.replace(record, period_length_years=5)
+    assert short == PopulationRecord(period_end_year=1950, population=5.0, period_length_years=5)
+    assert short != record
+    assert record == PopulationRecord(1950, 5.0, 10)
+    assert hash(record) == hash(PopulationRecord(1950, 5.0, 10))
+    assert repr(short) == (
+        "PopulationRecord(period_end_year=1950, population=5.0, period_length_years=5)"
+    )
+    assert dataclasses.astuple(short) == (1950, 5.0, 5)
+    assert vars(record) == {"period_end_year": 1950, "population": 5.0,
+                            "period_length_years": 10}
 
 
 def test_table_validation():

@@ -1,5 +1,7 @@
 """Ranked list structure, early-era counting, and CSV loading."""
 
+import dataclasses
+
 import pytest
 
 from eragreats import (
@@ -64,6 +66,28 @@ def test_bundled_early_counts(lists_by_name):
         ranked = lists_by_name[name]
         assert count_early(ranked, 10, 1950) == top10
         assert count_early(ranked, 25, 1950) == top25
+
+
+def test_entry_checks_its_fields_and_behaves_as_a_frozen_dataclass():
+    with pytest.raises(DataError, match=r"^rank must be >= 1, got 0$"):
+        PlayerEntry(0, "a", 1900)
+    for blank in ("", "  "):
+        with pytest.raises(DataError, match=r"^entry at rank 3 has an empty name$"):
+            PlayerEntry(3, blank, 1900)
+    entry = PlayerEntry(1, "Some Player", 1901)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.rank = 2
+    with pytest.raises(DataError, match=r"^rank must be >= 1, got -1$"):
+        dataclasses.replace(entry, rank=-1)
+    with pytest.raises(DataError, match=r"^entry at rank 1 has an empty name$"):
+        dataclasses.replace(entry, name=" ")
+    moved = dataclasses.replace(entry, career_start_year=1950)
+    assert moved == PlayerEntry(rank=1, name="Some Player", career_start_year=1950)
+    assert moved != entry
+    assert hash(entry) == hash(PlayerEntry(1, "Some Player", 1901))
+    assert repr(entry) == "PlayerEntry(rank=1, name='Some Player', career_start_year=1901)"
+    assert dataclasses.astuple(entry) == (1, "Some Player", 1901)
+    assert vars(entry) == {"rank": 1, "name": "Some Player", "career_start_year": 1901}
 
 
 def test_rank_sequence_must_be_complete():

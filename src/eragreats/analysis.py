@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import DomainError
 from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
 from .rankings import RankedList, count_early
-from .tailprob import Chance, _check_tail_args, _tails, binomial_tail, chance_format
+from .tailprob import Chance, _check_tail_args, _tails, chance_format
 
 if TYPE_CHECKING:
     import numpy
@@ -60,12 +60,17 @@ def _chance(probability: float) -> Chance:
     return chance_format(probability)
 
 
-def _report(
-    source: str, depth: int, early: int, proportion: float, chance: Chance,
-    regime: str | None = None,
-) -> OverrepReport:
+def _reports(
+    sources: Sequence[str], depth: int, counts: Sequence[int], proportion: float, regime=None
+) -> list[OverrepReport]:
+    """A report per (source, count) with checked tail arguments: the tails
+    come from one term pass, and equal counts share one ``Chance``."""
+    chances = {k: _chance(tail) for k, tail in _tails(depth, counts, proportion).items()}
     # positional: keyword construction costs about 1.8 times as much
-    return OverrepReport(source, depth, early, proportion, chance.probability, chance, regime)
+    return [
+        OverrepReport(source, depth, k, proportion, chances[k].probability, chances[k], regime)
+        for source, k in zip(sources, counts)
+    ]
 
 
 def analyze(
@@ -98,12 +103,11 @@ def sensitivity_matrix(
     unweighted reports.
 
     Each cell needs its list's span check, its regime's share and its
-    (list, depth) early count, in that order, and then its tail's argument
-    check.  Each is computed the first time a cell needs it and reused
-    after, so the checks run in the order that checking every cell afresh
-    would run them, and the first error is the same.  The tails of one
-    (regime, depth) come from one term pass, and cells with the same early
-    count share one ``Chance``.
+    (list, depth) early count, in that order, each count followed by its
+    tail's argument check.  Each is computed the first time a cell needs
+    it and reused after, so the checks run in the order that checking
+    every cell afresh would run them, and the first error is the same.
+    Each (regime, depth) ends in one ``_reports`` step.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -111,6 +115,7 @@ def sensitivity_matrix(
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
+    sources = [ranked.source for ranked in lists]
     checked: set[int] = set()
     early: dict[tuple[int, int], int] = {}
     reports = []
@@ -127,14 +132,14 @@ def sensitivity_matrix(
                     proportion = cumulative_proportion(table, cutoff_year, regime=regime)
                 if (i, depth) not in early:
                     early[i, depth] = count_early(ranked, depth, cutoff_year)
-                _check_tail_args(depth, early[i, depth], proportion)
+                    # enough once per count: a count lies in [0, depth], and a
+                    # share in [0, 1], being the ratio of correctly rounded
+                    # fsums of non-negative terms, numerator <= denominator.
+                    # Only depth > MAX_TRIALS fails, at its first count, as
+                    # a check of every cell would.
+                    _check_tail_args(depth, early[i, depth], proportion)
                 counts.append(early[i, depth])
-            ks = list(dict.fromkeys(counts))
-            chances = {k: _chance(t) for k, t in zip(ks, _tails(depth, ks, proportion))}
-            reports.extend(
-                _report(ranked.source, depth, k, proportion, chances[k], name)
-                for ranked, k in zip(lists, counts)
-            )
+            reports += _reports(sources, depth, counts, proportion, name)
     return reports
 
 
@@ -161,11 +166,9 @@ def bridge_check(
     era = cumulative_population(table, era_cutoff_year)
     pool = cumulative_population(table, pool_cutoff_year)
     proportion = era / pool
-    return [
-        _report("external", depth, early, proportion,
-                _chance(binomial_tail(depth, early, proportion)))
-        for depth, early in counts
-    ]
+    for depth, early in counts:
+        _check_tail_args(depth, early, proportion)
+    return [r for depth, early in counts for r in _reports(["external"], depth, [early], proportion)]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

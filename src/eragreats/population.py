@@ -258,8 +258,6 @@ def read_rows(path, columns, make, build=list):
     try:
         parsed = _by_column(parsers, make, kept)
     except (ValueError, DataError):
-        parsed = None
-    if parsed is None:
         _raise_first_fault(path, header, parsers, make, data)
     try:
         return build(parsed)
@@ -268,25 +266,25 @@ def read_rows(path, columns, make, build=list):
 
 
 def _by_column(parsers, make, rows):
-    """``make(*values)`` for each of ``rows``, parsed one column at a time,
-    or None when a row's width differs from the header's, a key repeats or
-    a ``finite`` column holds nan or an infinity.  A refused cell raises
-    ValueError, a refused row DataError.
+    """``make(*values)`` for each of ``rows``, parsed one column at a time.
+    A refused cell, a row whose width differs from the header's, a repeated
+    key or nan or an infinity in a ``finite`` column raises ValueError; a
+    refused row raises DataError.
     """
     if set(map(len, rows)) != {len(parsers)}:
-        return None
+        raise ValueError("row width")
     columns = []
     for parse, column in zip(parsers, zip(*rows)):
         if parse is finite:
             # ``finite`` is ``float`` plus a check: both run in C this way
             values = list(map(float, column))
             if not all(map(math.isfinite, values)):
-                return None
+                raise ValueError("not finite")
         else:
             values = list(map(parse, column))
         columns.append(values)
     if len(set(columns[0])) != len(rows):
-        return None
+        raise ValueError("repeated key")
     return list(map(make, *columns))
 
 

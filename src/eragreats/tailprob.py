@@ -84,9 +84,9 @@ def _check_tail_args(n: int, k_min: int, p: float) -> None:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
-def _tails(n: int, ks, p: float) -> list[float]:
-    """``[binomial_tail(n, k, p) for k in ks]``, bit for bit, from one term
-    pass; the arguments must already pass ``_check_tail_args``.
+def _tails(n: int, ks, p: float) -> dict[int, float]:
+    """``{k: binomial_tail(n, k, p) for k in ks}``, bit for bit, from one
+    term pass; the arguments must already pass ``_check_tail_args``.
 
     A term depends on (n, k, p) alone, so the terms built down to the
     smallest k that is not settled by a cheap return hold every larger
@@ -95,7 +95,7 @@ def _tails(n: int, ks, p: float) -> list[float]:
     its own sum and its own underflow check.
     """
     tails = {}
-    live = []
+    terms = None
     for k in sorted(set(ks)):
         if k <= 0 or p == 1.0:
             tails[k] = 1.0
@@ -106,14 +106,11 @@ def _tails(n: int, ks, p: float) -> list[float]:
             # the union bound of binomial_tail
             if math.log2(coeff) + k * math.log2(p) < _ZERO_EXP_BOUND:
                 tails[k] = 0.0
-            else:
-                live.append((k, coeff))
-    if live:
-        low, coeff = live[0]
-        terms = _terms(n, low, coeff, p)
-        for k, _ in live:
+                continue
+            if terms is None:
+                low, terms = k, _terms(n, k, coeff, p)
             tails[k] = _sum_tail(n, k, p, terms[k - low:])
-    return [tails[k] for k in ks]
+    return tails
 
 
 def _terms(n: int, k_low: int, coeff: int, p: float) -> list[float]:

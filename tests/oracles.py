@@ -31,6 +31,8 @@ and in every error they raise.
 (span check, share, early count and tail for every cell, nothing reused
 between cells), built from the package's own steps, as the reference
 the grid evaluator must match report for report and in its first error.
+``per_pair_bridge`` does the same for ``bridge_check``, one reported
+(depth, count) pair at a time.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def reference_cumulative_proportion(table, cutoff_year: int, regime=None) -> flo
 def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
     """Reports for every (regime, depth, list) cell, in that order, each
     cell running all its steps afresh; a ``None`` regime is unweighted."""
-    from eragreats.analysis import _chance, _check_span, _report
+    from eragreats.analysis import OverrepReport, _chance, _check_span
     from eragreats.population import cumulative_proportion
     from eragreats.rankings import count_early
     from eragreats.tailprob import binomial_tail
@@ -319,9 +321,31 @@ def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
                 _check_span(ranked, table)
                 proportion = cumulative_proportion(table, cutoff_year, regime=regime)
                 early = count_early(ranked, depth, cutoff_year)
-                name = None if regime is None else regime.name
                 chance = _chance(binomial_tail(depth, early, proportion))
-                reports.append(_report(ranked.source, depth, early, proportion, chance, name))
+                reports.append(OverrepReport(
+                    source=ranked.source, depth=depth, early_count=early,
+                    proportion_used=proportion, tail_probability=chance.probability,
+                    chance=chance, regime=None if regime is None else regime.name,
+                ))
+    return reports
+
+
+def per_pair_bridge(counts, pool_cutoff_year, era_cutoff_year, table) -> list:
+    """``bridge_check`` for valid cutoffs and a non-empty ``counts``, one
+    (depth, early count) pair at a time: its tail, its chance, its report."""
+    from eragreats.analysis import OverrepReport, _chance
+    from eragreats.population import cumulative_population
+    from eragreats.tailprob import binomial_tail
+
+    proportion = (cumulative_population(table, era_cutoff_year)
+                  / cumulative_population(table, pool_cutoff_year))
+    reports = []
+    for depth, early in counts:
+        chance = _chance(binomial_tail(depth, early, proportion))
+        reports.append(OverrepReport(
+            source="external", depth=depth, early_count=early, proportion_used=proportion,
+            tail_probability=chance.probability, chance=chance,
+        ))
     return reports
 
 

@@ -23,7 +23,7 @@ from eragreats import (
     monte_carlo_oracle,
     sensitivity_matrix,
 )
-from oracles import enumerated_tail, per_cell_reports
+from oracles import enumerated_tail, per_cell_reports, per_pair_bridge
 
 
 def test_analyze_composes_the_pieces(table, lists_by_name):
@@ -254,6 +254,35 @@ def test_bridge_validates_inputs(table):
         bridge_check([(10, 11)], 1999, 1950, table)
     with pytest.raises(DomainError):
         bridge_check([(10, 6)], 2300, 1950, table)
+
+
+def bridge_pairs():
+    """(depth, count) pairs, mostly valid, some with a depth past
+    MAX_TRIALS, a count past the depth or a negative count."""
+    valid = st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    deep = st.tuples(st.just(1001), st.integers(0, 1001))
+    high = st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, n + 3)))
+    low = st.tuples(st.integers(1, 1000), st.integers(-3, -1))
+    return st.lists(st.one_of(valid, valid, valid, deep, high, low), min_size=1, max_size=5)
+
+
+@settings(max_examples=100)
+@given(pairs=bridge_pairs(), data=st.data())
+def test_bridge_matches_per_pair_reports(table, pairs, data):
+    era = data.draw(st.integers(table.first_year + 1, table.final_year))
+    pool = data.draw(st.integers(era, table.final_year))
+    args = (pairs, pool, era, table)
+    assert outcome(bridge_check, *args) == outcome(per_pair_bridge, *args)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(10, 6), (1001, 3), (10, 11)], "n must be in [1, 1000], got 1001"),
+    ([(10, 6), (10, 11), (1001, 3)], "k_min must be in [0, 10], got 11"),
+    ([(10, -1), (1001, 3)], "k_min must be in [0, 10], got -1"),
+])
+def test_bridge_raises_the_first_faulty_pairs_error(table, pairs, message):
+    args = (pairs, 1999, 1950, table)
+    assert outcome(bridge_check, *args) == outcome(per_pair_bridge, *args) == (DomainError, message)
 
 
 # ---------------------------------------------------------- monte carlo

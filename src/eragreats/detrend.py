@@ -119,4 +119,4 @@ def _career_total(seasons: list[float]) -> float:
 def load_season_stats(path) -> list[SeasonStat]:
     """Read ``season,value,league_average`` rows from CSV."""
     columns = fixed_columns("season,value,league_average", int, finite, finite)
-    return read_rows(path, columns, SeasonStat)
+    return read_rows(path, columns, SeasonStat, key="seasons")

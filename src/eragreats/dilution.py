@@ -63,7 +63,7 @@ def format_per_roster_spot(value: float) -> str:
 def load_league_config(path) -> list[tuple[int, int, int]]:
     """Read ``year,teams,roster_size`` rows from CSV, one row per year."""
     columns = fixed_columns("year,teams,roster_size", int, int, int)
-    return read_rows(path, columns, lambda *row: row)
+    return read_rows(path, columns, lambda *row: row, key="league")
 
 
 def build_league_seasons(

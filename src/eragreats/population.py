@@ -14,15 +14,19 @@ take the regime as an optional ``regime=`` argument.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
-a whole column at a time.
+a whole column at a time.  It keeps what it parses, keyed on the file's
+bytes, so the same content read again in one process is not parsed again.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
@@ -75,8 +79,8 @@ class PopulationTable:
     def __post_init__(self):
         if not self.records:
             raise DataError("population table must contain at least one period")
-        years = [r.period_end_year for r in self.records]
-        if years != sorted(set(years)):
+        years = self.years
+        if list(years) != sorted(set(years)):
             raise DataError("population periods must have strictly increasing end years")
         for prev, cur in zip(self.records, self.records[1:]):
             if cur.period_start_year < prev.period_end_year:
@@ -95,8 +99,9 @@ class PopulationTable:
         """Last covered year (end of the latest period)."""
         return self.records[-1].period_end_year
 
-    @property
+    @cached_property
     def years(self) -> tuple[int, ...]:
+        """Period end years in table order, built once per table."""
         return tuple(r.period_end_year for r in self.records)
 
 
@@ -215,7 +220,15 @@ def cumulative_proportion(
     return numerator / denominator
 
 
-def read_rows(path, columns, make, build=list):
+# parsed files, keyed on (loader key, file bytes); the oldest entry goes
+# first once the map holds this many.  The lock makes evict-then-store one
+# step for threads that load at once
+_PARSED_LIMIT = 32
+_parsed: dict = {}
+_parsed_lock = threading.Lock()
+
+
+def read_rows(path, columns, make, build=list, *, key):
     """Read the CSV file at ``path`` and return ``build(rows)``, where
     ``rows`` holds ``make(*values)`` for each non-blank data row.
 
@@ -231,6 +244,14 @@ def read_rows(path, columns, make, build=list):
     fault; the file is opened by the path as given, and a ``Path`` is built
     only for such an error.
 
+    The file is opened once and read as bytes.  ``key`` is hashable and
+    names everything besides those bytes that the result depends on (the
+    loader, and for a ranked list the path's stem): a result is kept per
+    (``key``, bytes), up to ``_PARSED_LIMIT`` files, and returned again for
+    the same pair without a parse.  An error is never kept, and a list or
+    dict result is returned as a fresh shallow copy, so a caller's edit
+    never reaches a later load.
+
     The data rows are checked and parsed one column at a time; only when
     that pass finds a fault are they read again row by row, to raise the
     error of the first faulty line.
@@ -239,10 +260,28 @@ def read_rows(path, columns, make, build=list):
         raise DataError("empty file path")
     try:
         # os.fspath refuses an int, which open would take for a file descriptor
-        with open(os.fspath(path), newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(os.fspath(path), "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read file: {exc.strerror or exc}", path=Path(path)) from None
+    entry = (key, raw)
+    value = _parsed.get(entry)
+    if value is None:
+        value = _parse(path, raw, columns, make, build)
+        with _parsed_lock:
+            if len(_parsed) >= _PARSED_LIMIT:
+                del _parsed[next(iter(_parsed))]
+            _parsed[entry] = value
+    # what the loaders build is immutable, but a list or dict holding it is not
+    return value.copy() if isinstance(value, (list, dict)) else value
+
+
+def _parse(path, raw, columns, make, build):
+    """``build(rows)`` from the file bytes ``raw``, as ``read_rows``
+    describes.  The text layer is the one ``open(path, newline="")`` builds,
+    so lines split and a bad byte is reported as they would be there."""
+    try:
+        rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot parse file: {exc}", path=Path(path)) from None
     if not rows:
@@ -353,7 +392,8 @@ def load_population_table(path) -> PopulationTable:
         return (int, finite, lambda cell: int(cell) if cell.strip() else 10)[:len(names)]
 
     return read_rows(
-        path, columns, PopulationRecord, lambda records: PopulationTable(tuple(records))
+        path, columns, PopulationRecord, lambda records: PopulationTable(tuple(records)),
+        key="population",
     )
 
 
@@ -378,4 +418,4 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
         years, *weights = zip(*rows)
         return {name: WeightRegime(name, dict(zip(years, w))) for name, w in zip(names, weights)}
 
-    return read_rows(path, columns, lambda *row: row, build)
+    return read_rows(path, columns, lambda *row: row, build, key="weights")

@@ -74,10 +74,14 @@ def load_ranked_list(path) -> RankedList:
 
     The list's source name is the file's stem.
     """
+    # the source is part of the result, so part of the parse key; read_rows
+    # refuses an empty path
+    source = Path(path).stem if path else ""
     return read_rows(
         path,
         fixed_columns("rank,name,career_start_year", int, str.strip, int),
         PlayerEntry,
-        lambda entries: RankedList(Path(path).stem, tuple(entries)),
+        lambda entries: RankedList(source, tuple(entries)),
+        key=("ranked", source),
     )
 

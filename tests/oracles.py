@@ -349,10 +349,12 @@ def per_pair_bridge(counts, pool_cutoff_year, era_cutoff_year, table) -> list:
     return reports
 
 
-def reference_read_rows(path, columns, make, build=list):
+def reference_read_rows(path, columns, make, build=list, *, key=None):
     """``read_rows`` as it first was: each non-blank data row checked for
     width, parsed cell by cell, checked for a repeated key and built, in
-    file order, so the first faulty line raises."""
+    file order, so the first faulty line raises.  Every call parses the
+    file afresh: ``key``, which names the package reader's cache entry,
+    is ignored."""
     from eragreats.errors import DataError
 
     if not path:

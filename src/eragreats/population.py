@@ -23,11 +23,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -129,17 +131,21 @@ class WeightRegime:
 
 
 def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
-    table_years = set(table.years)
-    regime_years = regime.weights.keys()
-    if regime_years != table_years:
-        missing = sorted(table_years - regime_years)
-        extra = sorted(regime_years - table_years)
-        parts = []
-        if missing:
-            parts.append(f"missing weights for {missing}")
-        if extra:
-            parts.append(f"weights for unknown years {extra}")
-        raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
+    years, weights = table.years, regime.weights
+    # the table's years are distinct, so equal sizes and every year weighted
+    # mean the regime's years are the table's; operator.contains on the
+    # read-only mapping costs about half of its bound ``__contains__``
+    if len(weights) == len(years) and all(map(operator.contains, repeat(weights), years)):
+        return
+    table_years = set(years)
+    missing = sorted(table_years - weights.keys())
+    extra = sorted(weights.keys() - table_years)
+    parts = []
+    if missing:
+        parts.append(f"missing weights for {missing}")
+    if extra:
+        parts.append(f"weights for unknown years {extra}")
+    raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
 
 
 def _terms(table: PopulationTable, regime: WeightRegime | None) -> list[float]:
@@ -153,16 +159,15 @@ def _terms(table: PopulationTable, regime: WeightRegime | None) -> list[float]:
 def _through(table: PopulationTable, terms: list[float], cutoff_year: int) -> list[float]:
     """The period ``terms`` through ``cutoff_year``, prorating the period
     the cutoff splits."""
-    through = []
-    for rec, term in zip(table.records, terms):
-        if rec.period_end_year <= cutoff_year:
-            through.append(term)
-            continue
-        # periods are ordered and do not overlap, so no later one counts
+    # periods are ordered and do not overlap: the ones that end by the
+    # cutoff are a prefix, and only the next one can be split
+    end = bisect_right(table.years, cutoff_year)
+    through = terms[:end]
+    if end < len(terms):
+        rec = table.records[end]
         if rec.period_start_year < cutoff_year:
             fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
-            through.append(term * fraction)
-        break
+            through.append(terms[end] * fraction)
     return through
 
 

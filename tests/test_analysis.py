@@ -2,6 +2,7 @@
 ordering guarantees, the truncated-pool bridge, and the simulation oracle.
 """
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from eragreats import (
     monte_carlo_oracle,
     sensitivity_matrix,
 )
+from eragreats import analysis
 from oracles import enumerated_tail, per_cell_reports, per_pair_bridge
 
 
@@ -283,6 +285,92 @@ def test_bridge_matches_per_pair_reports(table, pairs, data):
 def test_bridge_raises_the_first_faulty_pairs_error(table, pairs, message):
     args = (pairs, 1999, 1950, table)
     assert outcome(bridge_check, *args) == outcome(per_pair_bridge, *args) == (DomainError, message)
+
+
+# ------------------------------------------------- kept report steps
+
+def test_grid_and_bridge_match_their_oracles_cold_and_warm(table, regimes, ranked_lists):
+    analysis._reports.cache_clear()
+    grid = (ranked_lists, [None, regimes["w1"], regimes["w3"]], [10, 25], 1950, table)
+    bridge = ([(10, 6), (25, 10), (10, 6), (25, 0)], 1999, 1950, table)
+    expected_grid = outcome(per_cell_reports, *grid)
+    expected_bridge = outcome(per_pair_bridge, *bridge)
+    for _ in range(2):
+        assert outcome(sensitivity_matrix, *grid) == expected_grid
+        assert outcome(bridge_check, *bridge) == expected_bridge
+    assert analysis._reports.cache_info().hits > 0
+
+
+def test_editing_a_result_does_not_reach_a_later_one(table, regimes, ranked_lists):
+    args = (ranked_lists, [regimes["w2"]], [10], 1950, table)
+    expected = outcome(per_cell_reports, *args)
+    first = sensitivity_matrix(*args)
+    first.reverse()
+    first.append(first[0])
+    first[0] = None
+    assert outcome(sensitivity_matrix, *args) == expected
+    reports = bridge_check([(10, 6)], 1999, 1950, table)
+    reports.clear()
+    assert outcome(bridge_check, [(10, 6)], 1999, 1950, table) == outcome(
+        per_pair_bridge, [(10, 6)], 1999, 1950, table)
+
+
+def test_a_regime_of_the_same_name_gets_its_own_share(table, regimes, ranked_lists):
+    impostor = WeightRegime("w1", {year: 1.0 - w for year, w in regimes["w1"].weights.items()})
+    for regime in (regimes["w1"], impostor):
+        args = (ranked_lists, [regime], [10, 25], 1950, table)
+        assert outcome(sensitivity_matrix, *args) == outcome(per_cell_reports, *args)
+    shares = {analyze(ranked_lists[0], 10, 1950, table, regime).proportion_used
+              for regime in (regimes["w1"], impostor)}
+    assert len(shares) == 2
+
+
+def test_an_error_is_raised_again_on_every_call(table, ranked_lists):
+    years = range(table.first_year + 1, table.final_year + 1)
+    long = RankedList("long", tuple(
+        PlayerEntry(r, f"p{r}", years[r % len(years)]) for r in range(1, 1002)))
+    for _ in range(2):
+        assert outcome(sensitivity_matrix, [long], [None], [1001], 1950, table) == (
+            DomainError, "n must be in [1, 1000], got 1001")
+        assert outcome(bridge_check, [(10, 6), (1001, 3)], 1999, 1950, table) == (
+            DomainError, "n must be in [1, 1000], got 1001")
+
+
+def test_reports_past_the_bound_are_still_correct(table):
+    # one bridge pair is one kept step: more distinct pairs than the bound
+    # evict the first ones, which a second call must build again
+    pairs = [(n, k) for n in range(1, 40) for k in range(n + 1)][:analysis._REPORTS_LIMIT + 40]
+    args = (pairs, 1999, 1950, table)
+    expected = outcome(per_pair_bridge, *args)
+    analysis._reports.cache_clear()
+    assert outcome(bridge_check, *args) == expected
+    assert analysis._reports.cache_info().currsize == analysis._REPORTS_LIMIT
+    assert outcome(bridge_check, *args) == expected
+
+
+def reference_check_span(ranked, table):
+    """The span check as one walk over the entries."""
+    for entry in ranked.entries:
+        if not table.first_year < entry.career_start_year <= table.final_year:
+            raise DomainError(
+                f"{entry.name!r} starts in {entry.career_start_year}, outside the "
+                f"covered span ({table.first_year}, {table.final_year}]"
+            )
+    return []
+
+
+@pytest.mark.parametrize("years", [
+    [1871, 2015, 1950],
+    [1950, 1870, 2016],
+    [1950, 2016, 1870],
+    [1950.5, 1871.0],
+    [1950, math.nan, 1960],
+    [1950, 1960, math.nan],
+])
+def test_span_check_names_the_first_entry_outside(table, years):
+    ranked = RankedList("l", tuple(PlayerEntry(r, f"p{r}", y) for r, y in enumerate(years, 1)))
+    assert outcome(lambda: analysis._check_span(ranked, table) or []) == outcome(
+        reference_check_span, ranked, table)
 
 
 # ---------------------------------------------------------- monte carlo

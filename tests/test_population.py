@@ -16,6 +16,7 @@ from eragreats import (
     PopulationRecord,
     PopulationTable,
     WeightRegime,
+    bridge_check,
     cumulative_population,
     cumulative_proportion,
     load_population_table,
@@ -138,6 +139,28 @@ def test_all_zero_weights_are_rejected(table):
     zero = WeightRegime("zero", {year: 0.0 for year in table.years})
     with pytest.raises(DomainError):
         cumulative_proportion(table, 1950, regime=zero)
+
+
+def test_no_share_or_total_is_negative_zero(table, tmp_path):
+    # a report step is kept per share, and 0.0 and -0.0 are one key: a
+    # share must never be -0.0, even when every weight through the cutoff
+    # is written as one
+    path = tmp_path / "zeros.csv"
+    rows = ["year,neg_float,neg_int,zero"]
+    rows += [f"{year},-0.0,-0,0" if year <= 1950 else f"{year},0.5,0.5,0.5"
+             for year in table.years]
+    path.write_text("\n".join(rows) + "\n")
+    zeros = load_weight_regimes(path)
+    assert math.copysign(1.0, zeros["neg_float"].weights[1880]) == -1.0
+    for cutoff in range(table.first_year + 1, table.final_year + 1):
+        for regime in (None, *zeros.values()):
+            for share in (cumulative_proportion, cumulative_population):
+                value = share(table, cutoff, regime=regime)
+                assert math.copysign(1.0, value) == 1.0, (share, cutoff, regime)
+            if regime is not None and cutoff <= 1950:
+                assert cumulative_proportion(table, cutoff, regime=regime) == 0.0
+        share = bridge_check([(10, 6)], table.final_year, cutoff, table)[0].proportion_used
+        assert math.copysign(1.0, share) == 1.0
 
 
 def test_a_total_that_overflows_a_double_is_a_domain_error():

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from eragreats import (
@@ -44,6 +45,22 @@ def test_depth_limits(lists_by_name):
     with pytest.raises(DomainError):
         count_early(ranked, 10.0, 1950)
     assert count_early(ranked, 25, 2015) == 25
+
+
+@pytest.mark.parametrize("years, cutoff", [
+    ([1900, 1950, 1951, 1949, 2000], 1950),
+    ([1950.0, 1950.5, 1949.9], 1950),
+    ([1900, 1950, 1951], 1950.5),
+    ([1900, float("nan"), 1951], 1960),
+    ([np.int64(1900), np.int64(1950), np.int64(1951)], 1950),
+])
+def test_count_matches_a_walk_over_the_entries(years, cutoff):
+    ranked = make_list(years)
+    assert ranked.start_years == tuple(years)
+    for depth in range(1, len(years) + 1):
+        walk = sum(1 for e in ranked.entries[:depth] if e.career_start_year <= cutoff)
+        count = count_early(ranked, depth, cutoff)
+        assert count == walk and type(count) is int
 
 
 def test_bundled_lists_structure(ranked_lists):

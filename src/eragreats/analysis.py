@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import DomainError
 from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
 from .rankings import RankedList, count_early
-from .tailprob import Chance, _check_tail_args, _tails, chance_format
+from .tailprob import Chance, _check_tail_args, binomial_tail, chance_format
 
 if TYPE_CHECKING:
     import numpy
@@ -79,8 +79,9 @@ def _reports(
     sources: tuple[str, ...], depth: int, counts: tuple[int, ...], proportion: float,
     regime: str | None = None,
 ) -> tuple[OverrepReport, ...]:
-    """A report per (source, count) with checked tail arguments: the tails
-    come from one term pass, and equal counts share one ``Chance``.
+    """A report per (source, count) with checked tail arguments: each
+    distinct count's tail is one ``binomial_tail`` call, and reports with
+    equal counts share it and its ``Chance``.
 
     The result is kept per argument tuple, which determines every field of
     every report: the source, depth, count and share, the tail
@@ -91,7 +92,7 @@ def _reports(
     gives +0.0), so equal keys are equal shares.  The reports are frozen and
     the result a tuple; callers copy it into lists of their own.
     """
-    chances = {k: _chance(tail) for k, tail in _tails(depth, counts, proportion).items()}
+    chances = {k: _chance(binomial_tail(depth, k, proportion)) for k in set(counts)}
     # positional: keyword construction costs about 1.8 times as much
     return tuple(
         OverrepReport(source, depth, k, proportion, chances[k].probability, chances[k], regime)

@@ -67,7 +67,18 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min
     if math.log2(coeff) + k_min * math.log2(p) < _ZERO_EXP_BOUND:
         return 0.0
-    return _sum_tail(n, k_min, p, _terms(n, k_min, coeff, p))
+    q = 1.0 - p
+    terms = []
+    for k in range(k_min, n + 1):
+        terms.append(coeff * p**k * q ** (n - k))
+        # exact: C(n, k) * (n - k) = C(n, k + 1) * (k + 1)
+        coeff = coeff * (n - k) // (k + 1)
+    # fsum keeps the relative error at a few ulp even when the largest and
+    # smallest terms span many orders of magnitude
+    total = math.fsum(terms)
+    if _factor_underflow_suspected(n, k_min, p, q, total):
+        return _exact_tail(n, k_min, p)
+    return min(total, 1.0)
 
 
 def _check_tail_args(n: int, k_min: int, p: float) -> None:
@@ -82,58 +93,6 @@ def _check_tail_args(n: int, k_min: int, p: float) -> None:
         raise DomainError(f"k_min must be in [0, {n}], got {k_min}")
     if math.isnan(p) or not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
-
-
-def _tails(n: int, ks, p: float) -> dict[int, float]:
-    """``{k: binomial_tail(n, k, p) for k in ks}``, bit for bit, from one
-    term pass; the arguments must already pass ``_check_tail_args``.
-
-    A term depends on (n, k, p) alone, so the terms built down to the
-    smallest k that is not settled by a cheap return hold every larger
-    k's terms as a suffix: the same doubles in the same order, which
-    ``fsum`` sums to the same bits.  Each k keeps its own cheap returns,
-    its own sum and its own underflow check.
-    """
-    tails = {}
-    terms = None
-    for k in sorted(set(ks)):
-        if k <= 0 or p == 1.0:
-            tails[k] = 1.0
-        elif p == 0.0:
-            tails[k] = 0.0
-        else:
-            coeff = math.comb(n, k)
-            # the union bound of binomial_tail
-            if math.log2(coeff) + k * math.log2(p) < _ZERO_EXP_BOUND:
-                tails[k] = 0.0
-                continue
-            if terms is None:
-                low, terms = k, _terms(n, k, coeff, p)
-            tails[k] = _sum_tail(n, k, p, terms[k - low:])
-    return tails
-
-
-def _terms(n: int, k_low: int, coeff: int, p: float) -> list[float]:
-    """The terms C(n, k) * p**k * (1 - p)**(n - k) for k = k_low..n, where
-    ``coeff`` is C(n, k_low)."""
-    q = 1.0 - p
-    terms = []
-    for k in range(k_low, n + 1):
-        terms.append(coeff * p**k * q ** (n - k))
-        # exact: C(n, k) * (n - k) = C(n, k + 1) * (k + 1)
-        coeff = coeff * (n - k) // (k + 1)
-    return terms
-
-
-def _sum_tail(n: int, k_min: int, p: float, terms: list[float]) -> float:
-    """The tail from its ``terms`` (k = k_min..n), or from the exact path
-    when an underflowing factor may have spoiled one."""
-    # fsum keeps the relative error at a few ulp even when the largest and
-    # smallest terms span many orders of magnitude
-    total = math.fsum(terms)
-    if _factor_underflow_suspected(n, k_min, p, 1.0 - p, total):
-        return _exact_tail(n, k_min, p)
-    return min(total, 1.0)
 
 
 def _factor_underflow_suspected(

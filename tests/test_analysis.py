@@ -164,8 +164,8 @@ def test_grid_matches_per_cell_loop(table, regimes, data):
 
 def test_grid_matches_per_cell_loop_on_distinct_counts_in_each_group(table, regimes):
     # every (regime, depth) group holds three distinct early counts, none
-    # settled by a cheap return, so each cell's tail must be its own suffix
-    # of the group's one term list and not the sum of the whole list
+    # settled by a cheap return, so each cell's tail must be its own
+    # count's and not another count's of the same group
     starts = {"a": [1900, 1900, 1900, 1990, 1990],
               "b": [1900, 1990, 1990, 1900, 1990],
               "c": [1900, 1900, 1990, 1900, 1900]}
@@ -289,16 +289,37 @@ def test_bridge_raises_the_first_faulty_pairs_error(table, pairs, message):
 
 # ------------------------------------------------- kept report steps
 
-def test_grid_and_bridge_match_their_oracles_cold_and_warm(table, regimes, ranked_lists):
+def test_grid_and_bridge_match_their_oracles_cold_and_warm(
+    table, regimes, ranked_lists, monkeypatch
+):
+    # a built step takes one tail per distinct count and a kept step none;
+    # analysis looks binomial_tail up as a module global, which is also
+    # what the benchmark tracer wraps
+    calls = []
+
+    def counting(n, k, p):
+        calls.append(bits((n, k, p)))
+        return binomial_tail(n, k, p)
+
+    monkeypatch.setattr(analysis, "binomial_tail", counting)
     analysis._reports.cache_clear()
     grid = (ranked_lists, [None, regimes["w1"], regimes["w3"]], [10, 25], 1950, table)
     bridge = ([(10, 6), (25, 10), (10, 6), (25, 0)], 1999, 1950, table)
-    expected_grid = outcome(per_cell_reports, *grid)
-    expected_bridge = outcome(per_pair_bridge, *bridge)
-    for _ in range(2):
-        assert outcome(sensitivity_matrix, *grid) == expected_grid
-        assert outcome(bridge_check, *bridge) == expected_bridge
-    assert analysis._reports.cache_info().hits > 0
+    for evaluate, oracle, args in ((sensitivity_matrix, per_cell_reports, grid),
+                                   (bridge_check, per_pair_bridge, bridge)):
+        expected = outcome(oracle, *args)
+        tails = [(depth, count, share) for _, depth, count, share, *_ in expected]
+        assert len(set(tails)) < len(tails)
+        for built in (True, False):
+            calls.clear()
+            assert outcome(evaluate, *args) == expected
+            assert sorted(calls) == (sorted(set(tails)) if built else [])
+    # every grid group mixes distinct counts, some of them repeated
+    groups = {}
+    for _, depth, count, share, *_ in outcome(per_cell_reports, *grid):
+        groups.setdefault((depth, share), []).append(count)
+    assert len(groups) == 6
+    assert all(1 < len(set(counts)) < len(counts) for counts in groups.values())
 
 
 def test_editing_a_result_does_not_reach_a_later_one(table, regimes, ranked_lists):

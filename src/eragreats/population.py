@@ -14,8 +14,9 @@ take the regime as an optional ``regime=`` argument.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
-a whole column at a time.  It keeps what it parses, keyed on the file's
-bytes, so the same content read again in one process is not parsed again.
+one row at a time in file order.  It reads every file as UTF-8 and keeps
+what it parses, keyed on the file's bytes, so the same content read
+again in one process is not parsed again.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -37,7 +38,7 @@ from typing import Mapping
 from .errors import DataError, DomainError
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PopulationRecord:
     """One period of the eligible-population table.
 
@@ -49,23 +50,17 @@ class PopulationRecord:
     population: float
     period_length_years: int = 10
 
-    def __init__(self, period_end_year: int, population: float, period_length_years: int = 10):
-        # checked, then stored straight into the instance dict, as
-        # ``PlayerEntry`` is: a loader builds one record per row
-        if not population > 0:
+    def __post_init__(self):
+        if not self.population > 0:
             raise DataError(
-                f"population for period ending {period_end_year} must be "
-                f"positive, got {population!r}"
+                f"population for period ending {self.period_end_year} must be "
+                f"positive, got {self.population!r}"
             )
-        if not 1 <= period_length_years <= 10:
+        if not 1 <= self.period_length_years <= 10:
             raise DataError(
-                f"period length for {period_end_year} must be between 1 "
-                f"and 10 years, got {period_length_years!r}"
+                f"period length for {self.period_end_year} must be between 1 "
+                f"and 10 years, got {self.period_length_years!r}"
             )
-        fields = self.__dict__
-        fields["period_end_year"] = period_end_year
-        fields["population"] = population
-        fields["period_length_years"] = period_length_years
 
     @property
     def period_start_year(self) -> int:
@@ -257,9 +252,9 @@ def read_rows(path, columns, make, build=list, *, key):
     dict result is returned as a fresh shallow copy, so a caller's edit
     never reaches a later load.
 
-    The data rows are checked and parsed one column at a time; only when
-    that pass finds a fault are they read again row by row, to raise the
-    error of the first faulty line.
+    The bytes are decoded as UTF-8, whatever the locale.  On a miss the
+    data rows are checked and parsed in one pass, row by row in file
+    order, so the error raised is that of the first faulty line.
     """
     if not path:
         raise DataError("empty file path")
@@ -283,10 +278,13 @@ def read_rows(path, columns, make, build=list, *, key):
 
 def _parse(path, raw, columns, make, build):
     """``build(rows)`` from the file bytes ``raw``, as ``read_rows``
-    describes.  The text layer is the one ``open(path, newline="")`` builds,
-    so lines split and a bad byte is reported as they would be there."""
+    describes.  The text layer is the one ``open(path, encoding="utf-8",
+    newline="")`` builds, so lines split and a bad byte is reported as they
+    would be there.  Each non-blank data row is checked in turn: width,
+    then cells in column order, then a repeated key, then ``make``.
+    """
     try:
-        rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
+        rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot parse file: {exc}", path=Path(path)) from None
     if not rows:
@@ -295,51 +293,10 @@ def _parse(path, raw, columns, make, build):
         parsers = columns(rows[0])
     except DataError as exc:
         raise DataError(str(exc), path=Path(path), line=1) from None
-    header, data = rows[0], rows[1:]
-    kept = list(compress(data, map(str.strip, map("".join, data))))
-    if not kept:
-        raise DataError("no data rows found", path=Path(path))
-    try:
-        parsed = _by_column(parsers, make, kept)
-    except (ValueError, DataError):
-        _raise_first_fault(path, header, parsers, make, data)
-    try:
-        return build(parsed)
-    except DataError as exc:
-        raise DataError(str(exc), path=Path(path)) from None
-
-
-def _by_column(parsers, make, rows):
-    """``make(*values)`` for each of ``rows``, parsed one column at a time.
-    A refused cell, a row whose width differs from the header's, a repeated
-    key or nan or an infinity in a ``finite`` column raises ValueError; a
-    refused row raises DataError.
-    """
-    if set(map(len, rows)) != {len(parsers)}:
-        raise ValueError("row width")
-    columns = []
-    for parse, column in zip(parsers, zip(*rows)):
-        if parse is finite:
-            # ``finite`` is ``float`` plus a check: both run in C this way
-            values = list(map(float, column))
-            if not all(map(math.isfinite, values)):
-                raise ValueError("not finite")
-        else:
-            values = list(map(parse, column))
-        columns.append(values)
-    if len(set(columns[0])) != len(rows):
-        raise ValueError("repeated key")
-    return list(map(make, *columns))
-
-
-def _raise_first_fault(path, header, parsers, make, rows) -> None:
-    """Raise the error of the first faulty line in ``rows`` (the data rows,
-    blank ones included), checking row by row as the column pass cannot:
-    width, then cells in column order, then a repeated key, then ``make``.
-    """
-    names = [cell.strip() for cell in header]
+    names = [cell.strip() for cell in rows[0]]
+    parsed = []
     keys = set()
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not "".join(row).strip():
             continue
         try:
@@ -354,9 +311,15 @@ def _raise_first_fault(path, header, parsers, make, rows) -> None:
             if values[0] in keys:
                 raise DataError(f"duplicate {names[0]} {values[0]}")
             keys.add(values[0])
-            make(*values)
+            parsed.append(make(*values))
         except DataError as exc:
             raise DataError(str(exc), path=Path(path), line=lineno) from None
+    if not parsed:
+        raise DataError("no data rows found", path=Path(path))
+    try:
+        return build(parsed)
+    except DataError as exc:
+        raise DataError(str(exc), path=Path(path)) from None
 
 
 def fixed_columns(header: str, *parsers):

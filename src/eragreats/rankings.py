@@ -12,24 +12,17 @@ from .errors import DataError, DomainError
 from .population import fixed_columns, read_rows
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PlayerEntry:
     rank: int
     name: str
     career_start_year: int
 
-    def __init__(self, rank: int, name: str, career_start_year: int):
-        # checked, then stored straight into the instance dict: a loader
-        # builds one entry per row, and this costs about half of a generated
-        # frozen __init__ plus __post_init__
-        if rank < 1:
-            raise DataError(f"rank must be >= 1, got {rank}")
-        if not name or not name.strip():
-            raise DataError(f"entry at rank {rank} has an empty name")
-        fields = self.__dict__
-        fields["rank"] = rank
-        fields["name"] = name
-        fields["career_start_year"] = career_start_year
+    def __post_init__(self):
+        if self.rank < 1:
+            raise DataError(f"rank must be >= 1, got {self.rank}")
+        if not self.name or not self.name.strip():
+            raise DataError(f"entry at rank {self.rank} has an empty name")
 
 
 @dataclass(frozen=True)

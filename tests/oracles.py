@@ -18,9 +18,10 @@ enumeration oracle it imports nothing from the package.
 the reference the faster kernel must match bit for bit.
 
 ``reference_read_rows`` keeps the package's original CSV reader, one
-row at a time, as the reference the columnar reader must match in every
-object it builds and every error it raises; ``indented_json`` is the
-original JSON rendering the row encoder must match byte for byte.
+row at a time with no parse cache, as the reference the package reader
+must match in every object it builds and every error it raises, whether
+it parses a file afresh or returns it from its cache; ``indented_json``
+is the original JSON rendering the row encoder must match byte for byte.
 
 ``reference_cumulative_population`` and ``reference_cumulative_proportion``
 keep the package's original share functions, one walk of the table per
@@ -350,18 +351,18 @@ def per_pair_bridge(counts, pool_cutoff_year, era_cutoff_year, table) -> list:
 
 
 def reference_read_rows(path, columns, make, build=list, *, key=None):
-    """``read_rows`` as it first was: each non-blank data row checked for
-    width, parsed cell by cell, checked for a repeated key and built, in
-    file order, so the first faulty line raises.  Every call parses the
-    file afresh: ``key``, which names the package reader's cache entry,
-    is ignored."""
+    """``read_rows`` as it first was, reading the file as UTF-8: each
+    non-blank data row checked for width, parsed cell by cell, checked for
+    a repeated key and built, in file order, so the first faulty line
+    raises.  Every call parses the file afresh: ``key``, which names the
+    package reader's cache entry, is ignored."""
     from eragreats.errors import DataError
 
     if not path:
         raise DataError("empty file path")
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read file: {exc.strerror or exc}", path=path) from None

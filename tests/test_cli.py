@@ -5,6 +5,7 @@ and byte-for-byte determinism across repeated runs.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -145,6 +146,28 @@ def test_analyze_with_custom_list(tmp_path):
     assert len(rows) == 1
     assert rows[0]["source"] == "tiny"
     assert rows[0]["early_count"] == 2
+
+
+def test_input_files_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "accents.csv"
+    path.write_bytes("rank,name,career_start_year\n1,José Méndez,1908\n".encode("utf-8"))
+    # the C locale, neither coerced nor in UTF-8 mode, has ASCII as its
+    # encoding; stdout alone is set to UTF-8, to print the name
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONIOENCODING": "utf-8"}
+    analyze = subprocess.run(
+        [sys.executable, "-m", "eragreats", "analyze", "--list", str(path), "--depths", "1"],
+        capture_output=True, env=env,
+    )
+    assert (analyze.returncode, analyze.stderr) == (0, b"")
+    assert analyze.stdout.decode().splitlines()[1].split()[:3] == ["accents", "1", "1"]
+    load = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eragreats; print(eragreats.load_ranked_list(sys.argv[1]).entries[0].name)",
+         str(path)],
+        capture_output=True, env=env,
+    )
+    assert (load.returncode, load.stderr, load.stdout.decode()) == (0, b"", "José Méndez\n")
 
 
 def test_sensitivity_covers_every_regime():

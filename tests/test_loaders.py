@@ -2,10 +2,10 @@
 whose message starts with the path, plus the line when a row or the
 header is at fault.  A file with a header and no data row gives one
 message from every loader, a bad cell is named by its column, and a
-repeated first-column key is refused at its line.  The columnar reader
+repeated first-column key is refused at its line.  The package reader
 builds the same objects and raises the same first error as the original
-row-by-row reader kept in ``oracles``, whether its result is parsed
-afresh or comes from its per-process parse cache.
+reader kept in ``oracles``, whether its result is parsed afresh or comes
+from its per-process parse cache.
 """
 
 import sys
@@ -346,7 +346,8 @@ def test_threads_loading_at_once_share_the_bounded_cache(tmp_path):
 def test_names_with_line_separators_load_as_the_reference_reads_them(tmp_path, separator):
     # str.splitlines would split these cells; the CSV file iterator does not
     path = tmp_path / "ranked.csv"
-    path.write_text(f"rank,name,career_start_year\n1,A{separator}B,1901\n2,C{separator},1905\n")
+    path.write_text(f"rank,name,career_start_year\n1,A{separator}B,1901\n2,C{separator},1905\n",
+                    encoding="utf-8")
     got = _outcome(load_ranked_list, path)
     assert got == _reference_outcome(load_ranked_list, path)
     assert got[1].entries[0].name == f"A{separator}B"

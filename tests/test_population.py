@@ -303,6 +303,10 @@ def test_record_validation():
 
 def test_record_behaves_as_a_frozen_dataclass():
     record = PopulationRecord(1950, 5.0)
+    assert PopulationRecord(population=5.0, period_end_year=1950) == record
+    assert record.period_length_years == 10
+    with pytest.raises(DataError, match=r"^period length for 1950 must be between"):
+        PopulationRecord(period_end_year=1950, population=5.0, period_length_years=11)
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.population = 6.0
     with pytest.raises(DataError, match=r"^population for period ending 1950 must be"):

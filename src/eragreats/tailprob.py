@@ -1,21 +1,25 @@
 """Exact binomial tail probabilities and "1 in N" presentation.
 
-The tail is computed by direct summation of binomial terms, accumulated
-with ``math.fsum``.  The integer coefficients come from one
-``math.comb(n, k_min)`` stepped by the exact recurrence
-``C(n, k + 1) = C(n, k) * (n - k) // (k + 1)``, so every term is the
-same double it would be with ``math.comb`` at each k.  No normal
-approximation is involved, so the tiny tails this package cares about
-(order 1e-6 and below) keep near-full double precision: a few ulp, plus
-up to n times the relative rounding of the double ``1 - p``, since the
-float path works with ``1 - p`` rounded to a double.
+``binomial_tail`` returns the tail at the exact value of the double ``p``,
+correctly rounded to a double, over the whole input domain: denormal
+results and zero included.  No normal approximation and no float term is
+involved.  The double ``p`` is ``a / 2**e`` exactly, so ``1 - p`` is
+``c / 2**e`` with ``c = 2**e - a``, exact as well, and every binomial term
+is an integer over ``2**(e*n)``.  One of three paths gives the double:
 
-A tail whose union bound ``C(n, k_min) * p**k_min`` lies under
-``2**-1076`` is returned as 0.0 without summing: it rounds to zero in
-any case.  Otherwise, when a power of ``p`` or ``1 - p`` inside a term
-that matters falls below the normal double range, the sum is redone in
-exact rational arithmetic, so even denormal-range results are correctly
-rounded.
+- **small integers**: when one side of the tail has few terms of few bits,
+  that side is summed exactly by Horner's rule and divided once;
+- **fixed point with Ziv's rounding test**: otherwise the side whose terms
+  fall from its first one is summed in P-bit integer fixed point under a
+  proved error bound, and the double is returned as soon as both ends of
+  that bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160,
+  320, 640;
+- **the exact rung**: when even P = 640 cannot decide the rounding, the
+  exact integer sum, stopped only where a geometric bound on the rest
+  shows the rounded double can no longer change.
+
+A tail whose union bound ``C(n, k_min) * p**k_min`` lies under ``2**-1076``
+is returned as 0.0 without summing: it rounds to zero in any case.
 
 "1 in N" is always the exact reciprocal of the probability, taken from
 its integer ratio and rounded half up in integer arithmetic, so every
@@ -33,13 +37,16 @@ from .formatting import half_up
 
 MAX_TRIALS = 1000
 
-# doubles lose precision below 2**-1021; an isolated p**k or q**(n-k)
-# factor can land there long before the summed tail does
-_NORMAL_EXP_FLOOR = -1021.0
 # a tail at or under 2**-1075 rounds to 0.0 (ties to even); one more bit
 # absorbs the rounding of the logs that bound it
 _ZERO_EXP_BOUND = -1076.0
-_LN2 = math.log(2.0)
+# an exact side sum costs about (terms) * (bits per term); under this
+# product it is cheaper than a fixed-point pass
+_EXACT_SUM_BITS = 4000
+# fixed-point precisions P, and the guard bits the powers and the ratio
+# carry on top of P (the error bound in binomial_tail relies on 20)
+_PRECISIONS = (80, 160, 320, 640)
+_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,66 @@ class Chance:
 
 
 def binomial_tail(n: int, k_min: int, p: float) -> float:
-    """P(X >= k_min) for X ~ Binomial(n, p).
+    """P(X >= k_min) for X ~ Binomial(n, p), correctly rounded to a double.
 
     ``n`` must be a positive integer no larger than ``MAX_TRIALS`` and
     ``k_min`` an integer in [0, n].  ``k_min <= 0`` returns exactly 1.0.
+
+    With ``t_j = C(n, j) a**j c**(n-j) / 2**(e*n)`` the tail is
+    ``U = sum_{j >= k} t_j`` and the lower tail ``L = 1 - U`` sums j < k.
+
+    *Small integers.*  When ``min(n - k + 1, k) * e * n`` is at most
+    ``_EXACT_SUM_BITS``, the shorter side is summed exactly, and U, or
+    ``2**(e*n) - L``, over ``2**(e*n)`` is rounded once (``_to_double``),
+    subnormals and zero included.
+
+    *Fixed point.*  Otherwise one side is summed from a first term at
+    index f on, where its ratio ``rho_j = (n - j) x / ((j + 1) y)`` is at
+    most 1 from j = f on (it falls with j):
+
+    - above the mode, ``(n - k) a <= (k + 1) c``: U itself, f = k, x = a,
+      y = c;
+    - below it: then ``k <= floor(n p)`` and, as a binomial median lies in
+      ``[floor(n p), ceil(n p)]``, U >= 1/2.  L is summed, by the symmetry
+      j -> n - j as the same upward sum with f = n - k + 1, x = c, y = a;
+      its first ratio ``(k - 1) c / ((n - k + 2) a)`` is under 1 because
+      ``(n - k) a > (k + 1) c``.  U is ``1 - L``, free of cancellation.
+
+    ``_fixed_sum`` takes the terms in units of ``2**-F``: F puts the first
+    term in [2**P, 2**(P+1)) units for U, and is P + 2 for L, since U >=
+    1/2 there.  Every step rounds down, so each computed term T_i is at
+    most the exact one, tau_i, and the computed sum S is at most the
+    exact one.  With W = P + 20 and ``delta = 2**(1 - W)``:
+
+    1. *Truncated powers.*  ``x**m`` is taken by squaring, the base and
+       each product floored to W bits; a floor keeps a factor in
+       ``(1 - delta, 1]``, and induction over the binary digits of m
+       counts at most 2m - 1 such factors.  C(n, f) is exact, and one
+       more floor puts the first term in units, so
+       ``T_0 >= tau_0 (1 - eps_0) - 1`` with ``eps_0 <= 2 n delta``.
+    2. *The ratio.*  ``R = floor(x 2**Q / y) >= 2**(W-1)`` by the choice
+       of Q, so R lies under ``x 2**Q / y`` by a factor ``1 - eta`` with
+       ``eta < 1 / R <= delta``.  The loop never divides by y.
+    3. *Floors of the recurrence.*
+       ``T_{i+1} = floor(T_i (n - j) R / ((j + 1) 2**Q))``, as ``>> Q`` then
+       ``// (j + 1)`` is one floor; it exceeds ``T_i rho_j (1 - eta) - 1``
+       and ``rho_j <= 1``, so by induction
+       ``T_i >= tau_i (1 - rel) - (i + 1)`` with ``rel = eps_0 + n eta``.
+       As ``n < 2**10``, ``rel < 3 * 2**(11 - W) < 2**(-P - 7)``.
+    4. *Early stop.*  The sum stops at the first T_i that floors to 0, or
+       after j = n.  A zero T_i gives ``tau_i <= (i + 1) / (1 - rel) <
+       i + 2`` (as ``(i + 2) rel < 1`` for any P >= 3), and each of the
+       n - j + 1 terms from there on is at most tau_i, the ratios being
+       at most 1.
+
+    So the exact side lies in ``[S, S + E]`` units with
+    ``E = A + ((S + A) >> (P + 6)) + 1 + (n - j + 1)(i + 2)`` (the last
+    term only after a stop at T_i = 0), where ``A = (i + 1)(i + 2) / 2``
+    adds up the absolute deficits and the shift bounds
+    ``(S + A) rel / (1 - rel)``.  Rounding is monotone, so when both ends
+    of the interval for U round to one double, U rounds to it.  P = 640
+    leaves this undecided only within about 2**-600 of a rounding
+    boundary; ``_exact_tail`` then decides.
     """
     _check_tail_args(n, k_min, p)
     if k_min <= 0:
@@ -63,22 +126,35 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    coeff = math.comb(n, k_min)
-    # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min
-    if math.log2(coeff) + k_min * math.log2(p) < _ZERO_EXP_BOUND:
+    a, den = p.as_integer_ratio()
+    e = den.bit_length() - 1
+    c = den - a
+    bits = e * n
+    if n - k_min < k_min:
+        if (n - k_min + 1) * bits <= _EXACT_SUM_BITS:
+            return _to_double(_side_sum(n, n - k_min + 1, c, a), bits)
+    elif k_min * bits <= _EXACT_SUM_BITS:
+        return _to_double((1 << bits) - _side_sum(n, k_min, a, c), bits)
+    log2_p = math.log2(p)
+    # C(n, k_min) <= 2**n bounds the union bound below without a coefficient
+    if n + k_min * log2_p < _ZERO_EXP_BOUND:
         return 0.0
-    q = 1.0 - p
-    terms = []
-    for k in range(k_min, n + 1):
-        terms.append(coeff * p**k * q ** (n - k))
-        # exact: C(n, k) * (n - k) = C(n, k + 1) * (k + 1)
-        coeff = coeff * (n - k) // (k + 1)
-    # fsum keeps the relative error at a few ulp even when the largest and
-    # smallest terms span many orders of magnitude
-    total = math.fsum(terms)
-    if _factor_underflow_suspected(n, k_min, p, q, total):
-        return _exact_tail(n, k_min, p)
-    return min(total, 1.0)
+    upper = (n - k_min) * a <= (k_min + 1) * c
+    first, x, y = (k_min, a, c) if upper else (n - k_min + 1, c, a)
+    coeff = math.comb(n, first)
+    # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min
+    if upper and math.log2(coeff) + k_min * log2_p < _ZERO_EXP_BOUND:
+        return 0.0
+    for precision in _PRECISIONS:
+        total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
+        if upper:
+            low, high = total, total + error
+        else:
+            low, high = (1 << scale) - total - error, (1 << scale) - total
+        result = _to_double(low, scale)
+        if result == _to_double(high, scale):
+            return result
+    return _exact_tail(n, k_min, p)
 
 
 def _check_tail_args(n: int, k_min: int, p: float) -> None:
@@ -95,54 +171,116 @@ def _check_tail_args(n: int, k_min: int, p: float) -> None:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
-def _factor_underflow_suspected(
-    n: int, k_min: int, p: float, q: float, total: float
-) -> bool:
-    """True when a denormal power may have poisoned a term that matters."""
-    if total <= 0.0:
-        return True
-    log_p = math.log2(p)
-    log_q = math.log2(q)
-    if n * log_p > _NORMAL_EXP_FLOOR and n * log_q > _NORMAL_EXP_FLOOR:
-        return False
-    # a poisoned term is harmless while it sits 80+ bits under the total;
-    # lgamma is accurate to well under a bit at these magnitudes
-    bar = math.log2(total) - 80.0
-    log_n_fact = math.lgamma(n + 1)
-    for k in range(k_min, n + 1):
-        if k * log_p > _NORMAL_EXP_FLOOR and (n - k) * log_q > _NORMAL_EXP_FLOOR:
-            continue
-        log_comb = (log_n_fact - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
-        if log_comb + k * log_p + (n - k) * log_q >= bar:
-            return True
-    return False
+def _side_sum(n: int, count: int, x: int, y: int) -> int:
+    """``sum(C(n, j) * x**j * y**(n - j) for j < count)``, exactly.
+
+    Horner's rule in y; the coefficient steps by ``C(n, j) =
+    C(n, j - 1) * (n - j + 1) // j``, an exact one-digit division.
+    """
+    total = coeff = power = 1
+    for j in range(1, count):
+        power *= x
+        coeff = coeff * (n - j + 1) // j
+        total = total * y + coeff * power
+    return total * y ** (n - count + 1)
+
+
+def _fixed_sum(
+    n: int, first: int, coeff: int, x: int, y: int, e: int, precision: int, relative: bool
+) -> tuple[int, int, int]:
+    """``(S, E, F)``: the side ``sum_{j >= first} C(n, j) x**j y**(n-j) / 2**(e*n)``
+    lies in ``[S, S + E] / 2**F``.
+
+    ``coeff`` is C(n, first), and the ratio of successive terms must be at
+    most 1 from ``first`` on.  F puts the first term at ``precision + 1``
+    bits when ``relative``, and is ``precision + 2`` otherwise.  See
+    ``binomial_tail`` for the proof of the bound.
+    """
+    width = precision + _GUARD
+    x_bits, x_exp = _floored_power(x, first, width)
+    y_bits, y_exp = _floored_power(y, n - first, width)
+    head = coeff * x_bits * y_bits
+    exponent = x_exp + y_exp - e * n
+    scale = precision + 1 - head.bit_length() - exponent if relative else precision + 2
+    shift = exponent + scale
+    term = head << shift if shift >= 0 else head >> -shift
+    # R = floor(x 2**Q / y) >= 2**(width - 1); Q < 0 only when first == n,
+    # where the loop takes no step
+    q = max(0, width + y.bit_length() - x.bit_length())
+    ratio = (x << q) // y
+    total, j = 0, first
+    while term and j < n:
+        total += term
+        term = (term * ((n - j) * ratio) >> q) // (j + 1)
+        j += 1
+    total += term
+    i = j - first
+    deficit = (i + 1) * (i + 2) // 2
+    error = deficit + ((total + deficit) >> (precision + 6)) + 1
+    if not term:
+        error += (n - j + 1) * (i + 2)
+    return total, error, scale
+
+
+def _floored_power(x: int, m: int, width: int) -> tuple[int, int]:
+    """``(b, s)`` with ``b * 2**s`` in ``[x**m (1 - 2m 2**(1 - width)), x**m]``
+    and b at most ``width`` bits: left-to-right squaring, the base and each
+    step floored to ``width`` bits, at most 2m - 1 floors in all."""
+    if m == 0:
+        return 1, 0
+    base_shift = max(0, x.bit_length() - width)
+    base = x >> base_shift
+    bits, exp = base, base_shift
+    for digit in bin(m)[3:]:
+        bits *= bits
+        exp += exp
+        if digit == "1":
+            bits *= base
+            exp += base_shift
+        excess = bits.bit_length() - width
+        if excess > 0:
+            bits >>= excess
+            exp += excess
+    return bits, exp
+
+
+def _to_double(num: int, scale: int) -> float:
+    """``num / 2**scale`` correctly rounded: ``float(int)`` rounds once and
+    ``ldexp`` is exact while the result is normal; int true division rounds
+    correctly below that too."""
+    bits = num.bit_length()
+    if bits < 1024 and bits - scale >= -1021:
+        return math.ldexp(float(num), -scale)
+    return num / (1 << scale)
 
 
 def _exact_tail(n: int, k_min: int, p: float) -> float:
-    """Tail sum in exact rational arithmetic, correctly rounded to a double.
+    """Tail sum in exact integer arithmetic, correctly rounded to a double.
 
     ``p`` and ``1 - p`` share one power-of-two denominator, so every term
-    is an integer over ``den**n`` and the whole sum runs in exact integer
-    arithmetic with a single normalization at the end.
+    is an integer over ``2**(e*n)``, and each step of
+    ``t_{j+1} = t_j (n - j) a / ((j + 1) c)`` divides exactly.  Once the
+    ratio r of that step is under 1, the ratios only fall, so the terms
+    after t_j sum to at most ``t_j r / (1 - r)``.  The sum stops when the
+    total and the total plus that bound round to the same double, which
+    then is the rounded tail; at an exact tie it does not stop early.
     """
-    num_p, den = p.as_integer_ratio()
-    num_q = den - num_p
-    mode = math.floor((n + 1) * p)
-    term = math.comb(n, k_min) * num_p**k_min * num_q ** (n - k_min)
+    a, den = p.as_integer_ratio()
+    c = den - a
+    scale = 1 << (den.bit_length() - 1) * n
+    term = math.comb(n, k_min) * a**k_min * c ** (n - k_min)
     total = term
-    for k in range(k_min + 1, n + 1):
-        # exact division: comb(n, k - 1) * (n - k + 1) is divisible by k,
-        # and the previous term carries num_q to at least the first power
-        term = term * ((n - k + 1) * num_p) // (k * num_q)
+    for j in range(k_min, n):
+        up, down = (n - j) * a, (j + 1) * c
+        if up < down:
+            rest = term * up // (down - up) + 1
+            if total / scale == (total + rest) / scale:
+                break
+        term = term * up // down
         total += term
-        # past the mode the terms only shrink, and fewer than 2**10 of
-        # them remain, so one sitting 140 bits under the running total
-        # cannot move the rounded double
-        if k >= mode and total.bit_length() - term.bit_length() > 140:
-            break
     # int true division is correctly rounded, so the double comes out
     # exact even when it lands in the denormal range
-    return total / (1 << ((den.bit_length() - 1) * n))
+    return total / scale
 
 
 def chance_format(probability: float) -> Chance:

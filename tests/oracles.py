@@ -13,10 +13,6 @@ enumeration oracle it imports nothing from the package.
 ``significant_figures`` rounds the exact binary value of a double in
 ``Decimal`` arithmetic, as the reference for ``format_probability``.
 
-``reference_binomial_tail`` keeps the package's original tail kernel
-(a fresh ``math.comb`` per term, then the exact-rational fallback) as
-the reference the faster kernel must match bit for bit.
-
 ``reference_read_rows`` keeps the package's original CSV reader, one
 row at a time with no parse cache, as the reference the package reader
 must match in every object it builds and every error it raises, whether
@@ -148,72 +144,6 @@ def exact_binomial_tail(n: int, k_min: int, p) -> Fraction:
     for k in range(k_min, n + 1):
         numerator = numerator * (b - a) + math.comb(n, k) * a**k
     return Fraction(numerator, b**n)
-
-
-_NORMAL_EXP_FLOOR = -1021.0
-_LN2 = math.log(2.0)
-
-
-def reference_binomial_tail(n: int, k_min: int, p: float) -> float:
-    """P(X >= k_min) as the original kernel computed it, for valid inputs:
-    float terms ``math.comb(n, k) * p**k * q**(n - k)`` summed by ``fsum``,
-    redone exactly when a denormal power may have poisoned a term that
-    matters."""
-    if k_min <= 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    q = 1.0 - p
-    total = math.fsum(math.comb(n, k) * p**k * q ** (n - k) for k in range(k_min, n + 1))
-    if _reference_underflow_suspected(n, k_min, p, q, total):
-        return _reference_exact_tail(n, k_min, p)
-    return min(total, 1.0)
-
-
-def _reference_underflow_suspected(n, k_min, p, q, total) -> bool:
-    if total <= 0.0:
-        return True
-    log_p = math.log2(p)
-    log_q = math.log2(q)
-    if n * log_p > _NORMAL_EXP_FLOOR and n * log_q > _NORMAL_EXP_FLOOR:
-        return False
-    bar = math.log2(total) - 80.0
-    log_n_fact = math.lgamma(n + 1)
-    for k in range(k_min, n + 1):
-        if k * log_p > _NORMAL_EXP_FLOOR and (n - k) * log_q > _NORMAL_EXP_FLOOR:
-            continue
-        log_comb = (log_n_fact - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
-        if log_comb + k * log_p + (n - k) * log_q >= bar:
-            return True
-    return False
-
-
-def _reference_exact_tail(n, k_min, p) -> float:
-    num_p, den = p.as_integer_ratio()
-    num_q = den - num_p
-    mode = math.floor((n + 1) * p)
-    term = math.comb(n, k_min) * num_p**k_min * num_q ** (n - k_min)
-    total = term
-    for k in range(k_min + 1, n + 1):
-        term = term * ((n - k + 1) * num_p) // (k * num_q)
-        total += term
-        if k >= mode and total.bit_length() - term.bit_length() > 140:
-            break
-    return total / (1 << ((den.bit_length() - 1) * n))
-
-
-def tail_tolerance(n: int, p: float, exact: Fraction) -> float:
-    """How far a float-path tail at the double ``p`` may sit from ``exact``.
-
-    The README's float-path contract: a few ulp, plus the input error of
-    working with ``1 - p`` rounded to a double, since a term carrying
-    ``q**m`` moves by up to ``m`` times that relative rounding.
-    """
-    exact_q = 1 - Fraction(p)
-    q_error = abs(Fraction(1.0 - p) - exact_q) / exact_q
-    return 4 * math.ulp(float(exact)) + float(n * q_error * exact)
 
 
 def rounded_half_up(value: Fraction, whole_from) -> str:

@@ -63,7 +63,6 @@ from oracles import (
     exact_share,
     one_in_n,
     share_envelope,
-    tail_tolerance,
 )
 
 POPULATION_CSV = data_path("population.csv")
@@ -100,14 +99,14 @@ def _check_against_oracle(cell: str, report, exact: Fraction, failures: list[str
 
     The share must lie within 2 ulp of the exact share (the weighted
     shares sit 1 ulp off it).  The tail and chance are checked at the
-    report's own share: the tail within the numerical contract of the
-    exact tail, the chance string exactly.
+    report's own share: the tail equal to the correctly rounded exact
+    tail, the chance string exactly.
     """
     share = report.proportion_used
     if abs(Fraction(share) - exact) > 2 * math.ulp(share):
         failures.append(f"{cell}: share {share!r}, exact {float(exact)!r}")
     tail = exact_binomial_tail(report.depth, report.early_count, share)
-    if abs(Fraction(report.tail_probability) - tail) > tail_tolerance(report.depth, share, tail):
+    if report.tail_probability != float(tail):
         failures.append(f"{cell}: tail {report.tail_probability!r}, exact {float(tail)!r}")
     oracle = one_in_n(tail)
     if report.chance.display != oracle:

@@ -5,12 +5,12 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from eragreats import DomainError, binomial_tail, chance_format
-from eragreats.tailprob import MAX_TRIALS
-from oracles import enumerated_tail, exact_binomial_tail, one_in_n, reference_binomial_tail
+from eragreats import DomainError, binomial_tail, chance_format, tailprob
+from eragreats.tailprob import MAX_TRIALS, _exact_tail
+from oracles import enumerated_tail, exact_binomial_tail, one_in_n
 
 
 # ---------------------------------------------------------------- tails
@@ -54,12 +54,15 @@ def test_matches_scipy_survival_function(n, p, data):
 
 
 def test_reference_values_from_fixed_inputs():
-    # frozen from the enumeration oracle
-    assert binomial_tail(10, 6, 0.18696) == pytest.approx(0.004480521654768476, rel=1e-12)
-    assert binomial_tail(10, 7, 0.18696) == pytest.approx(0.0005616671356848983, rel=1e-12)
-    assert binomial_tail(25, 12, 0.18696) == pytest.approx(0.0008262067419771764, rel=1e-12)
-    assert binomial_tail(25, 15, 0.18696) == pytest.approx(5.719718819994147e-06, rel=1e-12)
-    assert binomial_tail(10, 6, 0.2110) == pytest.approx(0.008395850243962335, rel=1e-12)
+    # frozen from the exact rational oracle: each is the correctly rounded tail
+    for n, k, p, frozen in (
+        (10, 6, 0.18696, 0.004480521654768477),
+        (10, 7, 0.18696, 0.0005616671356848984),
+        (25, 12, 0.18696, 0.0008262067419771768),
+        (25, 15, 0.18696, 5.719718819994149e-06),
+        (10, 6, 0.2110, 0.008395850243962333),
+    ):
+        assert binomial_tail(n, k, p) == float(exact_binomial_tail(n, k, p)) == frozen
 
 
 def test_degenerate_cases():
@@ -94,7 +97,7 @@ def test_deep_tails_round_correctly():
 
 
 # p from three families: uniform, log-uniform down to the smallest
-# denormal, and just under 1 (where the double 1 - p is coarsest)
+# denormal, and just under 1 (where 1 - p has the fewest bits)
 P_FAMILIES = st.one_of(
     st.floats(0.0, 1.0, allow_nan=False),
     st.floats(-1074.0, 0.0).map(lambda exponent: 2.0**exponent),
@@ -104,9 +107,77 @@ P_FAMILIES = st.one_of(
 
 @settings(max_examples=200)
 @given(n=st.integers(1, MAX_TRIALS), p=P_FAMILIES, data=st.data())
-def test_matches_reference_kernel_bit_for_bit(n, p, data):
+def test_is_the_correctly_rounded_exact_tail(n, p, data):
     k = data.draw(st.integers(0, n))
-    assert binomial_tail(n, k, p) == reference_binomial_tail(n, k, p)
+    assert binomial_tail(n, k, p) == float(exact_binomial_tail(n, k, p))
+
+
+# tail-sweep inputs that sit near a rounding boundary (n * p nearly halfway
+# between two doubles, so the rounding rests on the p**2 term, under 2**-670
+# of the tail), and an exact tie: p**2 lies halfway between two doubles
+EXACT_RUNG_CASES = [
+    (3, 1, 8.810523205732772e-255),
+    (7, 1, 1.9947951610209488e-274),
+    (10, 1, 4.218098192212159e-205),
+    (2, 2, (2**27 - 1) / 2**28),
+]
+
+
+@pytest.mark.parametrize("n, k, p", EXACT_RUNG_CASES)
+def test_exact_rung_rounds_correctly(n, k, p):
+    expected = float(exact_binomial_tail(n, k, p))
+    assert _exact_tail(n, k, p) == expected
+    assert binomial_tail(n, k, p) == expected
+
+
+def test_fixed_point_hands_unsettled_roundings_to_the_exact_rung(monkeypatch):
+    rung = []
+
+    def counted(n, k, p):
+        rung.append((n, k, p))
+        return _exact_tail(n, k, p)
+
+    monkeypatch.setattr(tailprob, "_exact_tail", counted)
+    for n, k, p in EXACT_RUNG_CASES[1:3]:
+        assert binomial_tail(n, k, p) == float(exact_binomial_tail(n, k, p))
+    assert rung == EXACT_RUNG_CASES[1:3]
+    # a tail well clear of any rounding boundary settles in fixed point
+    assert binomial_tail(1000, 400, 0.3) == float(exact_binomial_tail(1000, 400, 0.3))
+    assert len(rung) == 2
+
+
+def _bracket_holds(n, k, p, precision):
+    """The error bound proved in the binomial_tail docstring: the exact
+    side the fixed-point pass sums lies in its [S, S + E] bracket."""
+    a, den = p.as_integer_ratio()
+    c = den - a
+    upper = (n - k) * a <= (k + 1) * c
+    first, x, y = (k, a, c) if upper else (n - k + 1, c, a)
+    tail = exact_binomial_tail(n, k, p)
+    side = tail if upper else 1 - tail
+    total, error, scale = tailprob._fixed_sum(
+        n, first, math.comb(n, first), x, y, den.bit_length() - 1, precision, upper
+    )
+    return total <= side * 2**scale <= total + error
+
+
+@given(n=st.integers(1, MAX_TRIALS), p=P_FAMILIES, data=st.data())
+def test_fixed_point_bracket_holds_the_exact_side(n, p, data):
+    # also at precisions far under the ones the kernel runs at (the proof
+    # holds from P = 3), where every error term is relatively larger
+    assume(0.0 < p < 1.0)
+    k = data.draw(st.integers(1, n))
+    for precision in (4, 8, 80):
+        assert _bracket_holds(n, k, p, precision)
+
+
+# at P = 8 the floors of the recurrence lose more than one unit on these
+@pytest.mark.parametrize(
+    "n, k, p",
+    [(82, 80, 0.8348438269222932), (119, 116, 0.9313455426041871), (13, 11, 0.6110956847822738)],
+)
+def test_fixed_point_bracket_covers_the_floors(n, k, p):
+    assert _bracket_holds(n, k, p, 8)
 
 
 def test_zero_shortcut_boundary_rounds_like_exact():

@@ -101,6 +101,19 @@ def test_analyze_golden_csv():
     assert result.stdout == ANALYZE_CSV
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["analyze", "sensitivity", "bridge"])
+def test_report_outputs_match_golden_bytes(command, fmt):
+    # tests/golden/<command>.<format> holds the bytes the report renderer
+    # printed on the bundled data before it rendered each distinct value once
+    code, stdout, stderr = run_main([command, "--format", fmt])
+    assert (code, stderr) == (0, "")
+    assert stdout.encode() == (GOLDEN / f"{command}.{fmt}").read_bytes()
+
+
 def test_analyze_table_layout():
     result = run_cli("analyze")
     assert result.returncode == 0

@@ -89,8 +89,11 @@ def _reports(
     regime name.  Callers check every argument before this step runs, so
     no error is ever kept and the first error of a call is unchanged.  A
     share is never NaN and never -0.0 (``math.fsum`` of non-negative terms
-    gives +0.0), so equal keys are equal shares.  The reports are frozen and
-    the result a tuple; callers copy it into lists of their own.
+    gives +0.0), so equal keys are equal shares.  Every share and tail lies
+    in [0, 1] and is never NaN, infinite or -0.0 (a tail is a ratio of
+    non-negative integers), so the CLI renderer may key each on its float
+    value.  The reports are frozen and the result a tuple; callers copy it
+    into lists of their own.
     """
     chances = {k: _chance(binomial_tail(depth, k, proportion)) for k in set(counts)}
     # positional: keyword construction costs about 1.8 times as much

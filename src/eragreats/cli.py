@@ -17,6 +17,8 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .analysis import _chance, bridge_check, monte_carlo_oracle, sensitivity_matrix
 from .defaults import (
@@ -223,25 +225,12 @@ def _cmd_tail(args) -> str:
     return _emit([row], args.format)
 
 
-def _report_row(report, regime: bool = False) -> dict:
-    """The row of one report, led by its ``regime`` column when ``regime``
-    is true; built as one dict, since a grid renders thousands."""
-    row = {"regime": report.regime} if regime else {}
-    row["source"] = report.source
-    row["depth"] = report.depth
-    row["early_count"] = report.early_count
-    row["proportion"] = report.proportion_used
-    row["probability"] = report.tail_probability
-    row["chance"] = report.chance.display
-    return row
-
-
 def _cmd_analyze(args) -> str:
     table = load_population_table(args.population)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, [regime], args.depths, args.cutoff, table)
-    return _emit([_report_row(r) for r in reports], args.format)
+    return _emit_reports(reports, args.format, regime=False)
 
 
 def _cmd_sensitivity(args) -> str:
@@ -249,13 +238,13 @@ def _cmd_sensitivity(args) -> str:
     regimes = list(load_weight_regimes(args.weights).values())
     lists = _ranked_lists(args)
     reports = sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
-    return _emit([_report_row(r, regime=True) for r in reports], args.format)
+    return _emit_reports(reports, args.format, regime=True)
 
 
 def _cmd_bridge(args) -> str:
     table = load_population_table(args.population)
     reports = bridge_check(args.counts, args.pool_cutoff, args.cutoff, table)
-    return _emit([_report_row(r) for r in reports], args.format)
+    return _emit_reports(reports, args.format, regime=False)
 
 
 def _cmd_dilution(args) -> str:
@@ -296,11 +285,9 @@ def _cmd_detrend(args) -> str:
 
 
 def _cell(column: str, value) -> str:
-    """Display text of one value.  The formatters are looked up as module
-    globals at each call, so a wrapper installed there (as the benchmark
-    tracer does) sees every call."""
-    if column == "proportion":
-        return format_proportion(value)
+    """Display text of one value of a ``tail``, ``dilution`` or ``detrend``
+    row.  The formatters are looked up as module globals at each call, so a
+    wrapper installed there (as the benchmark tracer does) sees every call."""
     if column in ("probability", "monte_carlo"):
         return format_probability(value)
     if column == "per_roster_spot_thousands":
@@ -310,27 +297,71 @@ def _cell(column: str, value) -> str:
     return str(value)
 
 
-# json.dumps(indent=2) runs the pure-Python encoder; this one is the C
-# encoder, writing every item boundary as a newline and the row indent
-_ROWS_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
-
-
 def _emit(rows, fmt: str) -> str:
     """Render ``rows``, dicts of raw values keyed by column name, in ``fmt``.
 
     JSON output is ``json.dumps(rows, indent=2)`` plus a newline; the
-    ``tail`` and ``detrend`` payloads, one dict each, are rendered by it.
-    A list of flat, non-empty row dicts is encoded in one C-encoder call
-    and its row boundaries are then re-indented: an encoded string never
-    holds a raw newline, so each ``},\n    {`` is a boundary.
+    ``tail`` and ``detrend`` payloads, one dict each, are rendered by it
+    too.  Table and CSV cells are the ``_cell`` text of each value.
     """
     if fmt == "json":
-        if isinstance(rows, dict):
-            return json.dumps(rows, indent=2) + "\n"
-        body = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-        return "[\n  {\n    " + body + "\n  }\n]\n"
+        return json.dumps(rows, indent=2) + "\n"
     columns = list(rows[0])
     return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
+
+
+# each report column and the ``OverrepReport`` field it shows
+_REPORT_FIELDS = {
+    "regime": "regime",
+    "source": "source",
+    "depth": "depth",
+    "early_count": "early_count",
+    "proportion": "proportion_used",
+    "probability": "tail_probability",
+    "chance": "chance.display",
+}
+
+
+def _emit_reports(reports, fmt: str, regime: bool) -> str:
+    """Render a non-empty sequence of reports in ``fmt``, one row each,
+    led by a ``regime`` column when ``regime`` is true.
+
+    The text is what ``_emit`` gives for the rows of the fields above: JSON
+    as ``json.dumps(rows, indent=2)``, table and CSV through ``_render``.
+    A grid repeats few values over many rows, so each distinct value of a
+    column is rendered once per call.  JSON rows follow one row template,
+    cut before each field: each distinct value of a column is written once
+    after its key, as the JSON encoder writes it (text escaped by
+    ``encode_basestring_ascii``, an int or float as its ``repr``), and a
+    row is the join of its fields.  Keying on a float is exact because
+    ``_reports`` gives no share or tail that is NaN, infinite or -0.0.
+    The formatters are looked up as module globals, as ``_cell`` does.
+    """
+    columns = list(_REPORT_FIELDS)[0 if regime else 1:]
+    values = zip(*map(attrgetter(*(_REPORT_FIELDS[name] for name in columns)), reports))
+    if fmt == "json":
+        encoders = {"depth": int.__repr__, "early_count": int.__repr__,
+                    "proportion": float.__repr__, "probability": float.__repr__}
+        fields = [
+            _each_once(encoders.get(name, encode_basestring_ascii), column,
+                       ("  {\n" if i == 0 else ",\n") + f'    "{name}": ')
+            for i, (name, column) in enumerate(zip(columns, values))
+        ]
+        return "[\n" + "\n  },\n".join(map("".join, zip(*fields))) + "\n  }\n]\n"
+    formatters = {"depth": str, "early_count": str,
+                  "proportion": format_proportion, "probability": format_probability}
+    cells = [
+        _each_once(formatters[name], column) if name in formatters else column
+        for name, column in zip(columns, values)
+    ]
+    return _render(columns, list(zip(*cells)), fmt)
+
+
+def _each_once(func, values, head: str = "") -> list:
+    """``[head + func(v) for v in values]``, calling ``func`` once per
+    distinct value."""
+    memo = {value: head + func(value) for value in set(values)}
+    return list(map(memo.__getitem__, values))
 
 
 def _render(columns, rows, fmt: str) -> str:
@@ -340,11 +371,6 @@ def _render(columns, rows, fmt: str) -> str:
         writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
-    widths = [
-        max(len(col), max((len(row[i]) for row in rows), default=0))
-        for i, col in enumerate(columns)
-    ]
-    lines = []
-    for row in [list(columns), *rows]:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    table = [columns, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]) + "\n"

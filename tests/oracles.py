@@ -19,6 +19,10 @@ must match in every object it builds and every error it raises, whether
 it parses a file afresh or returns it from its cache; ``indented_json``
 is the original JSON rendering the row encoder must match byte for byte.
 
+``reference_report_text`` keeps the CLI's original report rendering, one
+row dict per report and every cell formatted afresh, as the reference
+the report renderer must match byte for byte in every format.
+
 ``reference_cumulative_population`` and ``reference_cumulative_proportion``
 keep the package's original share functions, one walk of the table per
 total, as the reference the one-term-list shares must match bit for bit
@@ -35,6 +39,7 @@ the grid evaluator must match report for report and in its first error.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -338,3 +343,57 @@ def reference_read_rows(path, columns, make, build=list, *, key=None):
 def indented_json(rows) -> str:
     """The JSON text of ``rows`` as the CLI first rendered it."""
     return json.dumps(rows, indent=2) + "\n"
+
+
+def report_row(report, regime: bool = False) -> dict:
+    """The row of one report, led by its ``regime`` column when ``regime``
+    is true."""
+    row = {"regime": report.regime} if regime else {}
+    row["source"] = report.source
+    row["depth"] = report.depth
+    row["early_count"] = report.early_count
+    row["proportion"] = report.proportion_used
+    row["probability"] = report.tail_probability
+    row["chance"] = report.chance.display
+    return row
+
+
+def _reference_cell(column: str, value) -> str:
+    from eragreats.formatting import format_probability, format_proportion
+
+    if column == "proportion":
+        return format_proportion(value)
+    if column == "probability":
+        return format_probability(value)
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def _reference_render(columns, rows, fmt: str) -> str:
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buf.getvalue()
+    widths = [
+        max(len(col), max((len(row[i]) for row in rows), default=0))
+        for i, col in enumerate(columns)
+    ]
+    lines = []
+    for row in [list(columns), *rows]:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def reference_report_text(reports, fmt: str, regime: bool = False) -> str:
+    """The CLI text of ``reports`` in ``fmt``: JSON is ``indented_json`` of
+    the report rows; table and CSV format every cell of every row."""
+    rows = [report_row(report, regime) for report in reports]
+    if fmt == "json":
+        return indented_json(rows)
+    columns = list(rows[0])
+    return _reference_render(
+        columns, [[_reference_cell(c, row[c]) for c in columns] for row in rows], fmt
+    )

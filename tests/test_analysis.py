@@ -7,7 +7,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eragreats import (
     DataError,
@@ -285,6 +285,40 @@ def test_bridge_matches_per_pair_reports(table, pairs, data):
 def test_bridge_raises_the_first_faulty_pairs_error(table, pairs, message):
     args = (pairs, 1999, 1950, table)
     assert outcome(bridge_check, *args) == outcome(per_pair_bridge, *args) == (DomainError, message)
+
+
+def positive_finite(value):
+    """True for a finite value whose sign bit is clear: +0.0 is, -0.0 is not."""
+    return math.isfinite(value) and math.copysign(1.0, value) == 1.0
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_report_shares_and_tails_are_finite_and_never_negative_zero(table, data):
+    # the CLI renders each distinct share and tail once, keyed on its float
+    # value, which is exact only without NaN, infinities and -0.0; weights
+    # of -0.0 and 0.0 give shares and tails of zero
+    weight = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0, 1)
+    weights = {year: data.draw(weight) for year in table.years}
+    assume(any(weights.values()))
+    years = st.integers(table.first_year + 1, table.final_year)
+    starts = data.draw(st.lists(st.lists(years, min_size=4, max_size=8), min_size=1, max_size=3))
+    lists = [
+        RankedList(f"l{j}", tuple(PlayerEntry(r, f"p{r}", y) for r, y in enumerate(s, 1)))
+        for j, s in enumerate(starts)
+    ]
+    depths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    cutoff = data.draw(years)
+    reports = sensitivity_matrix(
+        lists, [None, WeightRegime("drawn", weights)], depths, cutoff, table
+    )
+    pair = st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+    era = data.draw(years)
+    pool = data.draw(st.integers(era, table.final_year))
+    reports += bridge_check(data.draw(st.lists(pair, min_size=1, max_size=3)), pool, era, table)
+    for report in reports:
+        assert positive_finite(report.proportion_used), report
+        assert positive_finite(report.tail_probability), report
 
 
 # ------------------------------------------------- kept report steps

@@ -14,9 +14,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import cli, detrend_career, load_season_stats
-from eragreats.defaults import data_path
-from oracles import exact_binomial_tail, indented_json, one_in_n, per_cell_reports
+from eragreats import cli, detrend_career, formatting, load_season_stats, sensitivity_matrix
+from eragreats.analysis import OverrepReport
+from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_DEPTHS, data_path
+from eragreats.tailprob import Chance
+from oracles import (
+    exact_binomial_tail,
+    indented_json,
+    one_in_n,
+    per_cell_reports,
+    reference_report_text,
+)
 
 ANALYZE_CSV = """\
 source,depth,early_count,proportion,probability,chance
@@ -107,8 +115,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("command", ["analyze", "sensitivity", "bridge"])
 def test_report_outputs_match_golden_bytes(command, fmt):
-    # tests/golden/<command>.<format> holds the bytes the report renderer
-    # printed on the bundled data before it rendered each distinct value once
+    # tests/golden/<command>.<format> holds the command's stdout on the
+    # bundled data; any change to report rendering must print these bytes
     code, stdout, stderr = run_main([command, "--format", fmt])
     assert (code, stderr) == (0, "")
     assert stdout.encode() == (GOLDEN / f"{command}.{fmt}").read_bytes()
@@ -297,6 +305,70 @@ JSON_SCALARS = (
                 min_size=1, max_size=5))
 def test_json_rows_render_as_indented_dumps(rows):
     assert cli._emit(rows, "json") == indented_json(rows)
+
+
+# shares and tails: the ends of [0, 1], the least subnormal, and any value
+# between, never -0.0
+SHARE_OR_TAIL = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0, 1).map(abs)
+
+
+@st.composite
+def report_grids(draw):
+    """Reports and whether a ``regime`` column leads, with few distinct
+    texts, shares and tails repeated over the rows, as in a grid."""
+    texts = st.sampled_from(draw(st.lists(JSON_TEXT, min_size=1, max_size=4)))
+    shares = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=3)))
+    tails = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=4)))
+    regime = draw(st.booleans())
+    regime_names = texts if regime else st.none() | texts
+    reports = []
+    for _ in range(draw(st.integers(1, 8))):
+        tail = draw(tails)
+        reports.append(OverrepReport(
+            draw(texts), draw(st.integers()), draw(st.integers()), draw(shares), tail,
+            Chance(tail, draw(texts)), draw(regime_names),
+        ))
+    return reports, regime
+
+
+@settings(max_examples=300)
+@given(report_grids())
+def test_report_rows_render_as_the_reference(grid):
+    reports, regime = grid
+    for fmt in cli.FORMATS:
+        assert cli._emit_reports(reports, fmt, regime) == reference_report_text(
+            reports, fmt, regime), fmt
+
+
+def test_report_renderer_formats_each_distinct_value_once(
+    table, regimes, ranked_lists, monkeypatch
+):
+    # the bundled sensitivity grid repeats its shares and some of its tails;
+    # cli looks the formatters up as module globals, which is also what the
+    # benchmark tracer wraps
+    reports = sensitivity_matrix(
+        ranked_lists, list(regimes.values()), DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table
+    )
+    distinct = {"format_proportion": {r.proportion_used for r in reports},
+                "format_probability": {r.tail_probability for r in reports}}
+    assert all(len(values) < len(reports) for values in distinct.values())
+    calls = {name: [] for name in distinct}
+
+    def counting(name):
+        def format_value(value):
+            calls[name].append(value)
+            return getattr(formatting, name)(value)
+        return format_value
+
+    for name in distinct:
+        monkeypatch.setattr(cli, name, counting(name))
+    for fmt in ("table", "csv"):
+        for values in calls.values():
+            values.clear()
+        code, stdout, _ = run_main(["sensitivity", "--format", fmt])
+        assert (code, stdout.encode()) == (0, (GOLDEN / f"sensitivity.{fmt}").read_bytes())
+        assert {name: sorted(values) for name, values in calls.items()} == {
+            name: sorted(values) for name, values in distinct.items()}
 
 
 def test_one_process_runs_many_commands_as_fresh_ones():

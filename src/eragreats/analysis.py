@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
-from .population import PopulationTable, WeightRegime, cumulative_population, cumulative_proportion
+from .population import PopulationTable, WeightRegime, _exact_population, cumulative_proportion
 from .rankings import RankedList, count_early
 from .tailprob import Chance, _check_tail_args, binomial_tail, chance_format
 
@@ -88,9 +88,9 @@ def _reports(
     ``binomial_tail(depth, count, share)`` and its ``Chance``, and the
     regime name.  Callers check every argument before this step runs, so
     no error is ever kept and the first error of a call is unchanged.  A
-    share is never NaN and never -0.0 (``math.fsum`` of non-negative terms
-    gives +0.0), so equal keys are equal shares.  Every share and tail lies
-    in [0, 1] and is never NaN, infinite or -0.0 (a tail is a ratio of
+    share is never NaN and never -0.0 (a ratio of non-negative integers is
+    at least +0.0), so equal keys are equal shares.  Every share and tail
+    lies in [0, 1] and is never NaN, infinite or -0.0 (a tail is a ratio of
     non-negative integers), so the CLI renderer may key each on its float
     value.  The reports are frozen and the result a tuple; callers copy it
     into lists of their own.
@@ -134,9 +134,10 @@ def sensitivity_matrix(
 
     Each cell needs its list's span check, its regime's share and its
     (list, depth) early count, in that order, each count followed by its
-    tail's argument check.  Each is computed the first time a cell needs
-    it and reused after, so the checks run in the order that checking
-    every cell afresh would run them, and the first error is the same.
+    tail's argument check.  The first regime's cells run them in that
+    order, so the first error is the one checking every cell afresh would
+    raise.  After that only a share can fail, as every share lies in
+    [0, 1]: a later regime is one share, with the first regime's counts.
     Each (regime, depth) ends in one ``_reports`` step, kept per process.
     """
     if not lists:
@@ -146,30 +147,24 @@ def sensitivity_matrix(
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
     sources = tuple(ranked.source for ranked in lists)
-    checked: set[int] = set()
-    early: dict[tuple[int, int], int] = {}
+    grid = []
+    for position, depth in enumerate(depths):
+        counts = []
+        for i, ranked in enumerate(lists):
+            if not position:
+                _check_span(ranked, table)
+                if not i:
+                    proportion = cumulative_proportion(table, cutoff_year, regime=regimes[0])
+            counts.append(count_early(ranked, depth, cutoff_year))
+            _check_tail_args(depth, counts[-1], proportion)
+        grid.append((depth, tuple(counts)))
     reports = []
-    for regime in regimes:
-        proportion = None
+    for index, regime in enumerate(regimes):
+        if index:
+            proportion = cumulative_proportion(table, cutoff_year, regime=regime)
         name = None if regime is None else regime.name
-        for depth in depths:
-            counts = []
-            for i, ranked in enumerate(lists):
-                if i not in checked:
-                    _check_span(ranked, table)
-                    checked.add(i)
-                if proportion is None:
-                    proportion = cumulative_proportion(table, cutoff_year, regime=regime)
-                if (i, depth) not in early:
-                    early[i, depth] = count_early(ranked, depth, cutoff_year)
-                    # enough once per count: a count lies in [0, depth], and a
-                    # share in [0, 1], being the ratio of correctly rounded
-                    # fsums of non-negative terms, numerator <= denominator.
-                    # Only depth > MAX_TRIALS fails, at its first count, as
-                    # a check of every cell would.
-                    _check_tail_args(depth, early[i, depth], proportion)
-                counts.append(early[i, depth])
-            reports += _reports(sources, depth, tuple(counts), proportion, name)
+        for depth, counts in grid:
+            reports += _reports(sources, depth, counts, proportion, name)
     return reports
 
 
@@ -193,8 +188,8 @@ def bridge_check(
         )
     if not counts:
         raise DomainError("bridge check needs at least one (depth, count) pair")
-    era = cumulative_population(table, era_cutoff_year)
-    pool = cumulative_population(table, pool_cutoff_year)
+    era, _ = _exact_population(table, era_cutoff_year)
+    pool, _ = _exact_population(table, pool_cutoff_year)
     proportion = era / pool
     for depth, early in counts:
         _check_tail_args(depth, early, proportion)

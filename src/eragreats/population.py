@@ -10,7 +10,8 @@ a cutoff on a period's final year includes the period in full.
 Interest weighting scales each period's population by a regime weight in
 both the numerator and the denominator, which models era-dependent talent
 pull without changing the total-share normalization.  The share functions
-take the regime as an optional ``regime=`` argument.
+take the regime as an optional ``regime=`` argument.  Every total is exact
+(``_exact_population``), so every share is correctly rounded.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
@@ -30,7 +31,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -77,6 +78,8 @@ class PopulationTable:
         if not self.records:
             raise DataError("population table must contain at least one period")
         years = self.years
+        # ``_exact_population``'s prefix sums per weight set (None: unweighted)
+        object.__setattr__(self, "_sums", {})
         if list(years) != sorted(set(years)):
             raise DataError("population periods must have strictly increasing end years")
         for prev, cur in zip(self.records, self.records[1:]):
@@ -123,63 +126,41 @@ class WeightRegime:
                     f"regime {self.name!r} has weight {w!r} for {year}, "
                     f"expected a value in [0, 1]"
                 )
+        # keys its prefix sums on a table: a frozenset keeps its own hash
+        object.__setattr__(self, "_items", frozenset(self.weights.items()))
 
 
 def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
-    years, weights = table.years, regime.weights
-    # the table's years are distinct, so equal sizes and every year weighted
-    # mean the regime's years are the table's; operator.contains on the
-    # read-only mapping costs about half of its bound ``__contains__``
-    if len(weights) == len(years) and all(map(operator.contains, repeat(weights), years)):
-        return
-    table_years = set(years)
-    missing = sorted(table_years - weights.keys())
-    extra = sorted(weights.keys() - table_years)
+    table_years, weight_years = set(table.years), regime.weights.keys()
+    missing = sorted(table_years - weight_years)
+    extra = sorted(weight_years - table_years)
     parts = []
     if missing:
         parts.append(f"missing weights for {missing}")
     if extra:
         parts.append(f"weights for unknown years {extra}")
-    raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
+    if parts:
+        raise DataError(f"regime {regime.name!r} does not match the table: {'; '.join(parts)}")
 
 
-def _terms(table: PopulationTable, regime: WeightRegime | None) -> list[float]:
-    """Each period's population, scaled by its ``regime`` weight."""
-    if regime is None:
-        return [rec.population for rec in table.records]
-    weights = regime.weights
-    return [weights[rec.period_end_year] * rec.population for rec in table.records]
+# the least total that rounds past the largest double: 2**1024 - 2**970
+_DOUBLE_OVERFLOW = (1 << 1024) - (1 << 970)
 
 
-def _through(table: PopulationTable, terms: list[float], cutoff_year: int) -> list[float]:
-    """The period ``terms`` through ``cutoff_year``, prorating the period
-    the cutoff splits."""
-    # periods are ordered and do not overlap: the ones that end by the
-    # cutoff are a prefix, and only the next one can be split
-    end = bisect_right(table.years, cutoff_year)
-    through = terms[:end]
-    if end < len(terms):
-        rec = table.records[end]
-        if rec.period_start_year < cutoff_year:
-            fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
-            through.append(terms[end] * fraction)
-    return through
+def _exact_population(
+    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
+) -> tuple[int, int]:
+    """(exact total through ``cutoff_year``, scale): two totals of one
+    table and regime share the scale, so they divide exactly.  A total past
+    the largest double is a DomainError.
 
-
-def _sum(terms: list[float], cutoff_year: int) -> float:
-    """The population total through ``cutoff_year`` from its ``terms``.
-    Summed with ``math.fsum`` so that the share at the final table year is
-    exactly 1; a total that overflows a double is a DomainError.
+    A term, population times weight, is an integer over a power of two for
+    doubles.  Over the terms' common denominator times 2520, the lcm of
+    1..10, every term and its per-year part are integers.  Their prefix
+    sums are kept on the table per weight set, for as many sets as the
+    parse cache keeps files, the oldest going first.  The weight years are
+    checked only when an entry is built: a kept one passed already.
     """
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise DomainError(f"population total through {cutoff_year} overflows a double") from None
-
-
-def _check_inputs(
-    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None
-) -> None:
     if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
         raise DomainError(f"cutoff year must be an integer, got {cutoff_year!r}")
     if not table.first_year < cutoff_year <= table.final_year:
@@ -187,17 +168,44 @@ def _check_inputs(
             f"cutoff year {cutoff_year} is outside the covered span "
             f"({table.first_year}, {table.final_year}]"
         )
-    if regime is not None:
-        _check_weight_years(table, regime)
+    key = None if regime is None else regime._items
+    sums = table._sums.get(key)
+    if sums is None:
+        terms = [rec.population.as_integer_ratio() for rec in table.records]
+        if regime is not None:
+            _check_weight_years(table, regime)
+            weights = [regime.weights[year].as_integer_ratio() for year in table.years]
+            terms = [(p * w, q * v) for (p, q), (w, v) in zip(terms, weights)]
+        common = math.lcm(*(q for _, q in terms))
+        lengths = [rec.period_length_years for rec in table.records]
+        per_year = [p * (common // q) * (2520 // n) for (p, q), n in zip(terms, lengths)]
+        sums = [0, *accumulate(map(operator.mul, per_year, lengths))], per_year, 2520 * common
+        with _parsed_lock:
+            if len(table._sums) >= _PARSED_LIMIT:
+                del table._sums[next(iter(table._sums))]
+            table._sums[key] = sums
+    prefix, per_year, scale = sums
+    # periods are ordered and do not overlap: the ones that end by the
+    # cutoff are a prefix, and only the next one can be split
+    end = bisect_right(table.years, cutoff_year)
+    total = prefix[end]
+    if end < len(per_year):
+        start = table.records[end].period_start_year
+        if start < cutoff_year:
+            total += per_year[end] * (cutoff_year - start)
+    if total >= _DOUBLE_OVERFLOW * scale:
+        raise DomainError(f"population total through {cutoff_year} overflows a double")
+    return total, scale
 
 
 def cumulative_population(
     table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
 ) -> float:
     """Eligible population (millions) that existed through ``cutoff_year``,
-    each period scaled by its ``regime`` weight when one is given."""
-    _check_inputs(table, cutoff_year, regime)
-    return _sum(_through(table, _terms(table, regime), cutoff_year), cutoff_year)
+    each period scaled by its ``regime`` weight when one is given, summed
+    exactly and rounded once."""
+    total, scale = _exact_population(table, cutoff_year, regime)
+    return total / scale
 
 
 def cumulative_proportion(
@@ -207,22 +215,19 @@ def cumulative_proportion(
 
     With a ``regime``, each period's population is scaled by its weight in
     both the numerator and the denominator; uniform weights give the
-    unweighted share.  No intermediate rounding: the ratio is taken
-    between two full-precision sums of one list of period terms, and
-    equals exactly 1.0 at the table's final year.
+    unweighted share.  Both totals are exact, so the share is their ratio
+    correctly rounded, and exactly 1.0 at the table's final year.
     """
-    _check_inputs(table, cutoff_year, regime)
-    terms = _terms(table, regime)
-    numerator = _sum(_through(table, terms, cutoff_year), cutoff_year)
-    denominator = _sum(terms, table.final_year)
-    if denominator == 0.0:
+    numerator, _ = _exact_population(table, cutoff_year, regime)
+    denominator, _ = _exact_population(table, table.final_year, regime)
+    if not denominator:
         raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
     return numerator / denominator
 
 
 # parsed files, keyed on (loader key, file bytes); the oldest entry goes
 # first once the map holds this many.  The lock makes evict-then-store one
-# step for threads that load at once
+# step for threads that load at once, here and in ``_exact_population``
 _PARSED_LIMIT = 32
 _parsed: dict = {}
 _parsed_lock = threading.Lock()

@@ -23,10 +23,10 @@ is the original JSON rendering the row encoder must match byte for byte.
 row dict per report and every cell formatted afresh, as the reference
 the report renderer must match byte for byte in every format.
 
-``reference_cumulative_population`` and ``reference_cumulative_proportion``
-keep the package's original share functions, one walk of the table per
-total, as the reference the one-term-list shares must match bit for bit
-and in every error they raise.
+``exact_cumulative_population`` and ``exact_cumulative_proportion`` take
+each total in rational arithmetic at the exact values of the table's and
+the regime's doubles and round it once, as the reference the package's
+shares must equal bit for bit and in every error they raise.
 
 ``per_cell_reports`` keeps the plain per-cell loop over a report grid
 (span check, share, early count and tail for every cell, nothing reused
@@ -91,18 +91,22 @@ def _periods(population_csv) -> list[tuple[int, str, int]]:
     ]
 
 
-def exact_share(population_csv, cutoff_year: int, weights_csv=None, regime=None) -> Fraction:
+def exact_share(
+    population_csv, cutoff_year: int, weights_csv=None, regime=None, doubles=False
+) -> Fraction:
     """The (weighted) population share through ``cutoff_year``, exactly.
 
     Populations and weights are taken as the rationals their decimal text
-    denotes; a period the cutoff splits counts pro rata.
+    denotes, or with ``doubles`` as the doubles that text parses to; a
+    period the cutoff splits counts pro rata.
     """
+    number = (lambda text: Fraction(float(text))) if doubles else Fraction
     weights = None
     if weights_csv is not None:
-        weights = {int(row["year"]): Fraction(row[regime]) for row in _read_rows(weights_csv)}
+        weights = {int(row["year"]): number(row[regime]) for row in _read_rows(weights_csv)}
     early = total = Fraction(0)
     for end, text, length in _periods(population_csv):
-        amount = Fraction(text) * (1 if weights is None else weights[end])
+        amount = number(text) * (1 if weights is None else weights[end])
         total += amount
         start = end - length
         if end <= cutoff_year:
@@ -136,19 +140,34 @@ def share_envelope(population_csv, cutoff_year: int) -> tuple[Fraction, Fraction
     return least / (least + late + late_slack), most / (most + late - late_slack)
 
 
-def exact_binomial_tail(n: int, k_min: int, p) -> Fraction:
-    """P(X >= k_min) for X ~ Binomial(n, p) at the exact value of ``p``.
+def _tail_ratio(n: int, k_min: int, p) -> tuple[int, int]:
+    """P(X >= k_min) for X ~ Binomial(n, p) at the exact value of ``p``, as
+    a numerator over ``b**n``, where ``p = a / b``.
 
-    With ``p = a / b`` the tail is one integer over ``b**n``, the sum of
-    ``comb(n, k) * a**k * (b - a)**(n - k)``, taken by Horner's rule in
-    ``b - a`` so that n = 1000 stays within a second or so.
+    The numerator is the sum of ``comb(n, k) * a**k * (b - a)**(n - k)``,
+    taken by Horner's rule in ``b - a`` so that n = 1000 stays within a
+    second or so.
     """
     p = Fraction(p)
     a, b = p.numerator, p.denominator
     numerator = 0
     for k in range(k_min, n + 1):
         numerator = numerator * (b - a) + math.comb(n, k) * a**k
-    return Fraction(numerator, b**n)
+    return numerator, b**n
+
+
+def exact_binomial_tail(n: int, k_min: int, p) -> Fraction:
+    """P(X >= k_min) for X ~ Binomial(n, p) at the exact value of ``p``."""
+    return Fraction(*_tail_ratio(n, k_min, p))
+
+
+def exact_binomial_tail_as_double(n: int, k_min: int, p) -> float:
+    """``float(exact_binomial_tail(n, k_min, p))``: the numerator over
+    ``b**n`` by int true division, which rounds correctly, into the
+    subnormal range too.  It skips the Fraction's gcd, which costs about
+    two thirds of the time at n = 1000 and a tiny p."""
+    numerator, denominator = _tail_ratio(n, k_min, p)
+    return numerator / denominator
 
 
 def rounded_half_up(value: Fraction, whole_from) -> str:
@@ -205,41 +224,50 @@ def _reference_check_inputs(table, cutoff_year: int, regime) -> None:
         raise DataError(f"regime {regime.name!r} does not match the table: " + "; ".join(parts))
 
 
-def _reference_accumulate(table, cutoff_year: int, regime) -> float:
-    """The weighted total through ``cutoff_year`` from one walk of the
-    whole table, prorating a split period, summed by ``fsum``."""
+def exact_population(table, cutoff_year: int, regime=None) -> Fraction:
+    """The (weighted) population through ``cutoff_year`` at the exact
+    values of the table's and the regime's doubles, a period the cutoff
+    splits counting pro rata."""
+    total = Fraction(0)
+    for rec in table.records:
+        amount = Fraction(rec.population)
+        if regime is not None:
+            amount *= Fraction(regime.weights[rec.period_end_year])
+        if rec.period_end_year <= cutoff_year:
+            total += amount
+        elif rec.period_start_year < cutoff_year:
+            start = rec.period_start_year
+            total += amount * Fraction(cutoff_year - start, rec.period_length_years)
+    return total
+
+
+def _as_double(total: Fraction, cutoff_year: int) -> float:
     from eragreats.errors import DomainError
 
-    terms = []
-    for rec in table.records:
-        weight = 1.0 if regime is None else regime.weights[rec.period_end_year]
-        if rec.period_end_year <= cutoff_year:
-            terms.append(weight * rec.population)
-        elif rec.period_start_year < cutoff_year:
-            fraction = (cutoff_year - rec.period_start_year) / rec.period_length_years
-            terms.append(weight * rec.population * fraction)
     try:
-        return math.fsum(terms)
+        return float(total)
     except OverflowError:
         raise DomainError(f"population total through {cutoff_year} overflows a double") from None
 
 
-def reference_cumulative_population(table, cutoff_year: int, regime=None) -> float:
+def exact_cumulative_population(table, cutoff_year: int, regime=None) -> float:
     _reference_check_inputs(table, cutoff_year, regime)
-    return _reference_accumulate(table, cutoff_year, regime)
+    return _as_double(exact_population(table, cutoff_year, regime), cutoff_year)
 
 
-def reference_cumulative_proportion(table, cutoff_year: int, regime=None) -> float:
-    """The share as two walks of the table: the total through the cutoff,
-    then the total through the final year."""
+def exact_cumulative_proportion(table, cutoff_year: int, regime=None) -> float:
+    """The exact ratio of the exact totals through the cutoff and through
+    the final year, rounded once; each total must fit a double."""
     from eragreats.errors import DomainError
 
     _reference_check_inputs(table, cutoff_year, regime)
-    numerator = _reference_accumulate(table, cutoff_year, regime)
-    denominator = _reference_accumulate(table, table.final_year, regime)
-    if denominator == 0.0:
+    numerator = exact_population(table, cutoff_year, regime)
+    _as_double(numerator, cutoff_year)
+    denominator = exact_population(table, table.final_year, regime)
+    _as_double(denominator, table.final_year)
+    if denominator == 0:
         raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
-    return numerator / denominator
+    return float(numerator / denominator)
 
 
 def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
@@ -268,13 +296,13 @@ def per_cell_reports(lists, regimes, depths, cutoff_year, table) -> list:
 
 def per_pair_bridge(counts, pool_cutoff_year, era_cutoff_year, table) -> list:
     """``bridge_check`` for valid cutoffs and a non-empty ``counts``, one
-    (depth, early count) pair at a time: its tail, its chance, its report."""
+    (depth, early count) pair at a time: its tail, its chance, its report.
+    The share is the exact ratio of the two exact totals, rounded once."""
     from eragreats.analysis import OverrepReport, _chance
-    from eragreats.population import cumulative_population
     from eragreats.tailprob import binomial_tail
 
-    proportion = (cumulative_population(table, era_cutoff_year)
-                  / cumulative_population(table, pool_cutoff_year))
+    proportion = float(exact_population(table, era_cutoff_year)
+                       / exact_population(table, pool_cutoff_year))
     reports = []
     for depth, early in counts:
         chance = _chance(binomial_tail(depth, early, proportion))

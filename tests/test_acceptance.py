@@ -93,16 +93,23 @@ def _probability_cell(computed: float, published: str) -> str | None:
     return None
 
 
-def _check_against_oracle(cell: str, report, exact: Fraction, failures: list[str]) -> str:
+def _check_against_oracle(
+    cell: str, report, exact: Fraction, of_doubles: Fraction, failures: list[str]
+) -> str:
     """Check a report against the exact oracle and return the oracle's
     chance.
 
-    The share must lie within 2 ulp of the exact share (the weighted
-    shares sit 1 ulp off it).  The tail and chance are checked at the
-    report's own share: the tail equal to the correctly rounded exact
-    tail, the chance string exactly.
+    The share must be the correctly rounded exact share of the bundled
+    doubles, ``of_doubles``, and lie within 2 ulp of the exact share of the
+    decimal text, ``exact`` (parsing the text moves it: the w2 share at
+    1950 ends in ...256 from the decimals, ...253 from the doubles).  The
+    tail and chance are checked at the report's own share: the tail equal
+    to the correctly rounded exact tail, the chance string exactly.
     """
     share = report.proportion_used
+    if share != float(of_doubles):
+        failures.append(f"{cell}: share {share!r}, exact share of the doubles "
+                        f"{float(of_doubles)!r}")
     if abs(Fraction(share) - exact) > 2 * math.ulp(share):
         failures.append(f"{cell}: share {share!r}, exact {float(exact)!r}")
     tail = exact_binomial_tail(report.depth, report.early_count, share)
@@ -161,10 +168,11 @@ def test_criterion_2_unweighted_reports(table, lists_by_name, capsys):
             f"rounding envelope [{float(least):.7f}, {float(most):.7f}]"
         )
     exact = exact_share(POPULATION_CSV, 1950)
+    of_doubles = exact_share(POPULATION_CSV, 1950, doubles=True)
     for source, depth, early, probability, chance in UNWEIGHTED_CELLS:
         report = analyze(lists_by_name[source], depth, 1950, table)
         cell = f"{source} top-{depth}"
-        oracle = _check_against_oracle(cell, report, exact, failures)
+        oracle = _check_against_oracle(cell, report, exact, of_doubles, failures)
         if report.early_count != early:
             failures.append(f"{cell}: early count {report.early_count}, published {early}")
         problem = _probability_cell(report.tail_probability, probability)
@@ -280,11 +288,12 @@ def test_criterion_3_weighted_reports(table, regimes, lists_by_name, capsys):
     for regime_name, block in WEIGHTED_CELLS.items():
         regime = regimes[regime_name]
         exact = exact_share(POPULATION_CSV, 1950, WEIGHTS_CSV, regime_name)
+        of_doubles = exact_share(POPULATION_CSV, 1950, WEIGHTS_CSV, regime_name, doubles=True)
         for depth in (10, 25):
             for source, probability, chance in block[depth]:
                 report = analyze(lists_by_name[source], depth, 1950, table, regime)
                 cell = f"{regime_name} {source} top-{depth}"
-                oracle = _check_against_oracle(cell, report, exact, failures)
+                oracle = _check_against_oracle(cell, report, exact, of_doubles, failures)
                 share = f"{report.proportion_used:.3f}"
                 if share != block["share"]:
                     failures.append(

@@ -25,7 +25,7 @@ from eragreats import (
     sensitivity_matrix,
 )
 from eragreats import analysis
-from oracles import enumerated_tail, per_cell_reports, per_pair_bridge
+from oracles import enumerated_tail, exact_population, per_cell_reports, per_pair_bridge
 
 
 def test_analyze_composes_the_pieces(table, lists_by_name):
@@ -229,10 +229,11 @@ def test_grid_checks_a_cells_tail_before_the_next_list(table, regimes, fault, we
 def test_bridge_uses_prorated_pool_ratio(table):
     reports = bridge_check([(10, 6), (25, 10)], 1999, 1950, table)
     pool = cumulative_population(table, 1999)
-    era = cumulative_population(table, 1950)
     assert pool == pytest.approx(179.46 + 0.9 * 60.66, rel=1e-12)
+    # one correctly rounded ratio of the exact totals, not of rounded ones
+    exact = exact_population(table, 1950) / exact_population(table, 1999)
     for report in reports:
-        assert report.proportion_used == era / pool
+        assert report.proportion_used == float(exact)
     assert f"{reports[0].proportion_used:.4f}" == "0.2784"
     assert [r.chance.display for r in reports] == ["1 in 30", "1 in 7.7"]
     assert [r.early_count for r in reports] == [6, 10]

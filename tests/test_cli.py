@@ -16,11 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from eragreats import cli, detrend_career, formatting, load_season_stats, sensitivity_matrix
 from eragreats.analysis import OverrepReport
-from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_DEPTHS, data_path
+from eragreats.defaults import (
+    DEFAULT_CUTOFF_YEAR, DEFAULT_DEPTHS, DEFAULT_POOL_CUTOFF_YEAR, data_path,
+)
 from eragreats.tailprob import Chance
 from oracles import (
-    exact_binomial_tail,
-    indented_json,
+    exact_binomial_tail_as_double,
+    exact_share,
     one_in_n,
     per_cell_reports,
     reference_report_text,
@@ -120,6 +122,36 @@ def test_report_outputs_match_golden_bytes(command, fmt):
     code, stdout, stderr = run_main([command, "--format", fmt])
     assert (code, stderr) == (0, "")
     assert stdout.encode() == (GOLDEN / f"{command}.{fmt}").read_bytes()
+
+
+def test_golden_json_shares_and_tails_are_exact():
+    # the JSON snapshots carry full precision: every share must be the
+    # correctly rounded exact share of the bundled doubles, and every tail
+    # the correctly rounded exact tail at that share
+    population, weights = data_path("population.csv"), data_path("weight_regimes.csv")
+    shares = {name: exact_share(population, DEFAULT_CUTOFF_YEAR, weights, name, doubles=True)
+              for name in ("w1", "w2", "w3", "w4")}
+    shares[None] = exact_share(population, DEFAULT_CUTOFF_YEAR, doubles=True)
+    # both shares are over the same all-time total, so this is era / pool
+    bridge = shares[None] / exact_share(population, DEFAULT_POOL_CUTOFF_YEAR, doubles=True)
+    rows = [(row, shares[row.get("regime")]) for command in ("analyze", "sensitivity")
+            for row in json.loads((GOLDEN / f"{command}.json").read_text())]
+    rows += [(row, bridge) for row in json.loads((GOLDEN / "bridge.json").read_text())]
+    assert len(rows) == 8 + 32 + 2
+    for row, share in rows:
+        assert row["proportion"] == float(share), row
+        assert row["probability"] == exact_binomial_tail_as_double(
+            row["depth"], row["early_count"], row["proportion"]), row
+
+
+def test_tail_and_dilution_json_match_golden_bytes():
+    # tests/golden/tail.json and dilution.json hold these commands' stdout,
+    # taken before the report renderer and the shares last changed
+    for name, argv in (("tail", ["tail", "--n", "10", "--k", "6", "--p", "0.18696"]),
+                       ("dilution", ["dilution"])):
+        code, stdout, stderr = run_main([*argv, "--format", "json"])
+        assert (code, stderr) == (0, "")
+        assert stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_analyze_table_layout():
@@ -229,7 +261,7 @@ def test_tail_with_denormal_probability_prints_exact_chance():
     # 0.49**1000 is denormal: its double reciprocal overflows
     result = run_cli("tail", "--n", "1000", "--k", "1000", "--p", "0.49", "--format", "csv")
     assert result.returncode == 0
-    probability = float(exact_binomial_tail(1000, 1000, 0.49))
+    probability = exact_binomial_tail_as_double(1000, 1000, 0.49)
     assert result.stdout.splitlines()[1].split(",")[1] == one_in_n(probability)
 
 
@@ -290,21 +322,6 @@ def test_detrend_formats(tmp_path):
 JSON_TEXT = st.text(st.characters(max_codepoint=0x2FFFF)) | st.sampled_from(
     ['},\n    {', '"},\n    {"', "\\", '\\"', "\n", ",\n    ", "é ünïcode ☃", "\ud800"]
 )
-JSON_SCALARS = (
-    JSON_TEXT
-    | st.floats(allow_subnormal=True)
-    | st.sampled_from([5e-324, 2.2250738585072014e-308, -0.0, 1e300])
-    | st.integers()
-    | st.none()
-    | st.booleans()
-)
-
-
-@settings(max_examples=300)
-@given(st.lists(st.dictionaries(JSON_TEXT, JSON_SCALARS, min_size=1, max_size=6),
-                min_size=1, max_size=5))
-def test_json_rows_render_as_indented_dumps(rows):
-    assert cli._emit(rows, "json") == indented_json(rows)
 
 
 # shares and tails: the ends of [0, 1], the least subnormal, and any value

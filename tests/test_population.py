@@ -4,12 +4,15 @@ weighting, and structural validation.
 
 import dataclasses
 import math
+import sys
 import textwrap
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_cumulative_population, reference_cumulative_proportion
+from oracles import exact_cumulative_population, exact_cumulative_proportion
 
+from eragreats import population
 from eragreats import (
     DataError,
     DomainError,
@@ -172,6 +175,21 @@ def test_a_total_that_overflows_a_double_is_a_domain_error():
         cumulative_proportion(table, 1880)
 
 
+def test_a_total_overflows_exactly_where_it_rounds_past_the_largest_double():
+    # the largest double plus half its ulp, 2**1024 - 2**970, rounds to
+    # infinity; a total just under it still rounds to the largest double
+    largest = 1.7976931348623157e308
+    for last, fits in ((2.0**970, False), (2.0**970 * (1 - 2.0**-53), True)):
+        table = PopulationTable((PopulationRecord(1880, largest), PopulationRecord(1890, last)))
+        if fits:
+            assert cumulative_population(table, 1890) == largest
+            assert cumulative_proportion(table, 1890) == 1.0
+            continue
+        for share in (cumulative_population, cumulative_proportion):
+            with pytest.raises(DomainError, match="population total through 1890 overflows"):
+                share(table, 1890)
+
+
 # ------------------------------------------------------- property tests
 
 @st.composite
@@ -272,14 +290,68 @@ def _share_outcome(share, *args):
 
 @settings(max_examples=400)
 @given(shares())
-def test_shares_match_two_walks_of_the_table(case):
+def test_shares_are_the_correctly_rounded_exact_shares(case):
+    # twice each: the first call builds the table's prefix sums for the
+    # regime's weights, the second reads them back (an error keeps none)
     table, cutoff, regime = case
-    assert _share_outcome(cumulative_population, table, cutoff, regime) == _share_outcome(
-        reference_cumulative_population, table, cutoff, regime
-    )
-    assert _share_outcome(cumulative_proportion, table, cutoff, regime) == _share_outcome(
-        reference_cumulative_proportion, table, cutoff, regime
-    )
+    for share, exact in ((cumulative_population, exact_cumulative_population),
+                         (cumulative_proportion, exact_cumulative_proportion)):
+        expected = _share_outcome(exact, table, cutoff, regime)
+        for _ in range(2):
+            assert _share_outcome(share, table, cutoff, regime) == expected
+
+
+def test_prefix_sums_are_kept_per_table_and_weight_set(table, regimes):
+    w1 = regimes["w1"]
+    # a regime of another name with equal weights reads the same entry
+    twin = WeightRegime("twin", dict(w1.weights))
+    assert cumulative_proportion(table, 1950, w1) == cumulative_proportion(table, 1950, twin)
+    assert table._sums[w1._items] is table._sums[twin._items]
+    # weights that passed against one table are checked again against another
+    shorter = PopulationTable(table.records[:-1])
+    for _ in range(2):
+        with pytest.raises(DataError, match=r"weights for unknown years \[2015\]"):
+            cumulative_proportion(shorter, 1950, twin)
+    assert not shorter._sums
+    # past the bound the oldest weight set goes first, and every share is
+    # still the exact one
+    limit = population._PARSED_LIMIT
+    scaled = [WeightRegime(f"s{i}", {year: (i + 1) / (limit + 10) for year in table.years})
+              for i in range(limit + 5)]
+    for _ in range(2):
+        for regime in scaled:
+            assert cumulative_proportion(table, 1999, regime) == exact_cumulative_proportion(
+                table, 1999, regime)
+            assert len(table._sums) <= limit
+    assert list(table._sums)[-1] == scaled[-1]._items
+
+
+def test_threads_sharing_a_table_get_the_exact_shares():
+    # more threads than cores and a short switch interval, each thread
+    # building and reading weight sets past the bound on one table
+    table = PopulationTable(tuple(
+        PopulationRecord(1900 + 10 * i, 1.0 + i / 7, 10) for i in range(1, 20)))
+    regimes = [WeightRegime(f"r{i}", {year: ((i * year) % 97) / 97 + 0.01 for year in table.years})
+               for i in range(population._PARSED_LIMIT + 8)]
+    expected = [exact_cumulative_proportion(table, 1955, regime) for regime in regimes]
+    results = []
+
+    def work():
+        results.append([cumulative_proportion(table, 1955, regime) for regime in regimes * 3])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected * 3] * 6
+    assert len(table._sums) <= population._PARSED_LIMIT
 
 
 # ------------------------------------------------------------ structure

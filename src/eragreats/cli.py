@@ -5,8 +5,10 @@ Subcommands mirror the library: ``proportion``, ``tail``, ``analyze``,
 deterministic byte-for-byte for a given invocation: fixed column orders,
 fixed float rendering, no timestamps, no hash-order iteration.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 invalid input data,
-4 domain errors in a computation.
+Exit codes: 0 success, 2 usage errors (argparse), 3 invalid input data
+or a stdout that cannot be written, 4 domain errors in a computation.  A
+stdout whose reader has gone (a closed pipe) ends with exit 3 and no
+message, since the reader left on purpose.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -61,7 +64,16 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"eragreats: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # with fd 1 on devnull, the interpreter's exit flush of what is
+        # still buffered stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"eragreats: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 3
     return 0
 
 

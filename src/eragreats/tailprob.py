@@ -5,18 +5,17 @@ correctly rounded to a double, over the whole input domain: denormal
 results and zero included.  No normal approximation and no float term is
 involved.  The double ``p`` is ``a / 2**e`` exactly, so ``1 - p`` is
 ``c / 2**e`` with ``c = 2**e - a``, exact as well, and every binomial term
-is an integer over ``2**(e*n)``.  One of three paths gives the double:
+is an integer over ``2**(e*n)``.  One of two paths gives the double:
 
-- **small integers**: when one side of the tail has few terms of few bits,
-  that side is summed exactly by Horner's rule and divided once;
-- **fixed point with Ziv's rounding test**: otherwise the side whose terms
-  fall from its first one is summed in P-bit integer fixed point under a
-  proved error bound, and the double is returned as soon as both ends of
-  that bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160,
-  320, 640;
-- **the exact rung**: when even P = 640 cannot decide the rounding, the
-  exact integer sum, stopped only where a geometric bound on the rest
-  shows the rounded double can no longer change.
+- **fixed point with Ziv's rounding test**: the side whose terms fall from
+  its first one is summed in P-bit integer fixed point under a proved
+  error bound, and the double is returned as soon as both ends of that
+  bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160, 320,
+  640;
+- **the exact side sum**: the shorter side of the tail is summed exactly
+  by Horner's rule and divided once.  It runs first when that side has
+  few terms of few bits, and last when even P = 640 cannot decide the
+  rounding.
 
 A tail whose union bound ``C(n, k_min) * p**k_min`` lies under ``2**-1076``
 is returned as 0.0 without summing: it rounds to zero in any case.
@@ -66,10 +65,10 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     With ``t_j = C(n, j) a**j c**(n-j) / 2**(e*n)`` the tail is
     ``U = sum_{j >= k} t_j`` and the lower tail ``L = 1 - U`` sums j < k.
 
-    *Small integers.*  When ``min(n - k + 1, k) * e * n`` is at most
+    *Exact side sum.*  When ``min(n - k + 1, k) * e * n`` is at most
     ``_EXACT_SUM_BITS``, the shorter side is summed exactly, and U, or
     ``2**(e*n) - L``, over ``2**(e*n)`` is rounded once (``_to_double``),
-    subnormals and zero included.
+    subnormals and zero included (``_exact_side``).
 
     *Fixed point.*  Otherwise one side is summed from a first term at
     index f on, where its ratio ``rho_j = (n - j) x / ((j + 1) y)`` is at
@@ -117,7 +116,7 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     ``(S + A) rel / (1 - rel)``.  Rounding is monotone, so when both ends
     of the interval for U round to one double, U rounds to it.  P = 640
     leaves this undecided only within about 2**-600 of a rounding
-    boundary; ``_exact_tail`` then decides.
+    boundary; the exact side sum then decides.
     """
     _check_tail_args(n, k_min, p)
     if k_min <= 0:
@@ -130,11 +129,10 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     e = den.bit_length() - 1
     c = den - a
     bits = e * n
-    if n - k_min < k_min:
-        if (n - k_min + 1) * bits <= _EXACT_SUM_BITS:
-            return _to_double(_side_sum(n, n - k_min + 1, c, a), bits)
-    elif k_min * bits <= _EXACT_SUM_BITS:
-        return _to_double((1 << bits) - _side_sum(n, k_min, a, c), bits)
+    # the shorter side's term count (a builtin min() call would cost more
+    # than this test on every call)
+    if (n - k_min + 1 if n - k_min < k_min else k_min) * bits <= _EXACT_SUM_BITS:
+        return _exact_side(n, k_min, a, c, bits)
     log2_p = math.log2(p)
     # C(n, k_min) <= 2**n bounds the union bound below without a coefficient
     if n + k_min * log2_p < _ZERO_EXP_BOUND:
@@ -154,7 +152,7 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
         result = _to_double(low, scale)
         if result == _to_double(high, scale):
             return result
-    return _exact_tail(n, k_min, p)
+    return _exact_side(n, k_min, a, c, bits)
 
 
 def _check_tail_args(n: int, k_min: int, p: float) -> None:
@@ -171,18 +169,27 @@ def _check_tail_args(n: int, k_min: int, p: float) -> None:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
-def _side_sum(n: int, count: int, x: int, y: int) -> int:
-    """``sum(C(n, j) * x**j * y**(n - j) for j < count)``, exactly.
+def _exact_side(n: int, k_min: int, a: int, c: int, bits: int) -> float:
+    """The tail, correctly rounded, from an exact sum of its shorter side.
 
-    Horner's rule in y; the coefficient steps by ``C(n, j) =
-    C(n, j - 1) * (n - j + 1) // j``, an exact one-digit division.
+    That side is U, the n - k_min + 1 terms from k_min up, when it is the
+    shorter one, and otherwise L, the k_min terms under k_min, with U =
+    ``2**bits - L``.  Either way U is an integer over ``2**bits``, rounded
+    once by ``_to_double``.  The side is
+    ``sum(C(n, j) * x**j * y**(n - j) for j < count)`` by Horner's rule in
+    y; the coefficient steps by ``C(n, j) = C(n, j - 1) * (n - j + 1) // j``,
+    an exact one-digit division.
     """
+    upper = n - k_min < k_min
+    # by the symmetry j -> n - j, U is that sum with a and c swapped
+    count, x, y = (n - k_min + 1, c, a) if upper else (k_min, a, c)
     total = coeff = power = 1
     for j in range(1, count):
         power *= x
         coeff = coeff * (n - j + 1) // j
         total = total * y + coeff * power
-    return total * y ** (n - count + 1)
+    side = total * y ** (n - count + 1)
+    return _to_double(side if upper else (1 << bits) - side, bits)
 
 
 def _fixed_sum(
@@ -252,35 +259,6 @@ def _to_double(num: int, scale: int) -> float:
     if bits < 1024 and bits - scale >= -1021:
         return math.ldexp(float(num), -scale)
     return num / (1 << scale)
-
-
-def _exact_tail(n: int, k_min: int, p: float) -> float:
-    """Tail sum in exact integer arithmetic, correctly rounded to a double.
-
-    ``p`` and ``1 - p`` share one power-of-two denominator, so every term
-    is an integer over ``2**(e*n)``, and each step of
-    ``t_{j+1} = t_j (n - j) a / ((j + 1) c)`` divides exactly.  Once the
-    ratio r of that step is under 1, the ratios only fall, so the terms
-    after t_j sum to at most ``t_j r / (1 - r)``.  The sum stops when the
-    total and the total plus that bound round to the same double, which
-    then is the rounded tail; at an exact tie it does not stop early.
-    """
-    a, den = p.as_integer_ratio()
-    c = den - a
-    scale = 1 << (den.bit_length() - 1) * n
-    term = math.comb(n, k_min) * a**k_min * c ** (n - k_min)
-    total = term
-    for j in range(k_min, n):
-        up, down = (n - j) * a, (j + 1) * c
-        if up < down:
-            rest = term * up // (down - up) + 1
-            if total / scale == (total + rest) / scale:
-                break
-        term = term * up // down
-        total += term
-    # int true division is correctly rounded, so the double comes out
-    # exact even when it lands in the denormal range
-    return total / scale
 
 
 def chance_format(probability: float) -> Chance:

@@ -564,6 +564,32 @@ def test_errors_go_to_stderr_not_stdout():
     assert "3000" in result.stderr
 
 
+def test_a_closed_stdout_pipe_exits_3_without_a_message():
+    # the pipe has no reader before the child starts, so its write fails
+    # every time; the reader left on purpose, so nothing is printed
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eragreats", "tail", "--n", "10", "--k", "6", "--p", "0.18696"],
+            stdout=writer, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(writer)
+    assert (result.returncode, result.stderr) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_3_with_one_line():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "eragreats", "analyze"], stdout=full, stderr=subprocess.PIPE
+        )
+    lines = result.stderr.decode().splitlines()
+    assert result.returncode == 3
+    assert len(lines) == 1 and lines[0].startswith("eragreats: cannot write output: "), lines
+
+
 # ------------------------------------------------------ CLI contract
 
 # numbers at and past the edge of every domain, and text that is none

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from eragreats import DomainError, binomial_tail, chance_format, tailprob
-from eragreats.tailprob import MAX_TRIALS, _exact_tail
+from eragreats.tailprob import _EXACT_SUM_BITS, MAX_TRIALS, _exact_side
 from oracles import enumerated_tail, exact_binomial_tail, exact_binomial_tail_as_double, one_in_n
 
 
@@ -114,36 +114,50 @@ def test_is_the_correctly_rounded_exact_tail(n, p, data):
 
 # tail-sweep inputs that sit near a rounding boundary (n * p nearly halfway
 # between two doubles, so the rounding rests on the p**2 term, under 2**-670
-# of the tail), and an exact tie: p**2 lies halfway between two doubles
+# of the tail), a large-n true near-tie (1000 * p is exactly halfway between
+# two doubles), and an exact tie: p**2 lies halfway between two doubles
 EXACT_RUNG_CASES = [
     (3, 1, 8.810523205732772e-255),
     (7, 1, 1.9947951610209488e-274),
     (10, 1, 4.218098192212159e-205),
+    (1000, 1, 8.745614198645258e-272),
     (2, 2, (2**27 - 1) / 2**28),
 ]
+
+
+def exact_side(n, k, p):
+    """``_exact_side`` called as ``binomial_tail`` calls it, on a double p."""
+    a, den = p.as_integer_ratio()
+    return _exact_side(n, k, a, den - a, (den.bit_length() - 1) * n)
 
 
 @pytest.mark.parametrize("n, k, p", EXACT_RUNG_CASES)
 def test_exact_rung_rounds_correctly(n, k, p):
     expected = exact_binomial_tail_as_double(n, k, p)
-    assert _exact_tail(n, k, p) == expected
+    assert exact_side(n, k, p) == expected
     assert binomial_tail(n, k, p) == expected
 
 
 def test_fixed_point_hands_unsettled_roundings_to_the_exact_rung(monkeypatch):
     rung = []
 
-    def counted(n, k, p):
-        rung.append((n, k, p))
-        return _exact_tail(n, k, p)
+    def counted(n, k, a, c, bits):
+        # p is a / 2**e, and a + c is 2**e
+        rung.append((n, k, a / (a + c)))
+        return _exact_side(n, k, a, c, bits)
 
-    monkeypatch.setattr(tailprob, "_exact_tail", counted)
-    for n, k, p in EXACT_RUNG_CASES[1:3]:
+    monkeypatch.setattr(tailprob, "_exact_side", counted)
+    falling_through = EXACT_RUNG_CASES[1:4]
+    for n, k, p in falling_through:
+        # too many bits for the exact side sum to run first: the counted
+        # call is the one after the last fixed-point pass
+        e = p.as_integer_ratio()[1].bit_length() - 1
+        assert min(n - k + 1, k) * e * n > _EXACT_SUM_BITS
         assert binomial_tail(n, k, p) == exact_binomial_tail_as_double(n, k, p)
-    assert rung == EXACT_RUNG_CASES[1:3]
+    assert rung == falling_through
     # a tail well clear of any rounding boundary settles in fixed point
     assert binomial_tail(1000, 400, 0.3) == exact_binomial_tail_as_double(1000, 400, 0.3)
-    assert len(rung) == 2
+    assert len(rung) == 3
 
 
 def _bracket_holds(n, k, p, precision):

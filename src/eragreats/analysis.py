@@ -68,9 +68,11 @@ def _chance(probability: float) -> Chance:
     return chance_format(probability)
 
 
-# report steps kept per process.  One report-grid pass of the benchmark
-# makes 1920 steps with 89 distinct keys (seed 1), so this holds a whole
-# pass with room to spare; an entry holds one report per source
+# report steps kept per process, and (in cli) their rendered texts.  One
+# report-grid pass of the benchmark makes 1920 steps: 89, 90 and 95
+# distinct keys on seeds 1, 2 and 3, rendered as 153, 154 and 159 distinct
+# (key, format, regime column) texts, so each cache holds a whole pass with
+# room to spare; an entry holds one report or row per source
 _REPORTS_LIMIT = 256
 
 
@@ -130,7 +132,15 @@ def sensitivity_matrix(
 
     Row order is regimes in the given order, then depths in the given
     order, then lists in the given order.  A ``None`` regime gives the
-    unweighted reports.
+    unweighted reports.  Each (regime, depth) is one ``_reports`` step,
+    kept per process.
+    """
+    return [r for key in _grid(lists, regimes, depths, cutoff_year, table) for r in _reports(*key)]
+
+
+def _grid(lists, regimes, depths, cutoff_year, table) -> list[tuple]:
+    """The ``_reports`` key of each (regime, depth) step of a grid, in row
+    order, with every argument of every step checked.
 
     Each cell needs its list's span check, its regime's share and its
     (list, depth) early count, in that order, each count followed by its
@@ -138,7 +148,6 @@ def sensitivity_matrix(
     order, so the first error is the one checking every cell afresh would
     raise.  After that only a share can fail, as every share lies in
     [0, 1]: a later regime is one share, with the first regime's counts.
-    Each (regime, depth) ends in one ``_reports`` step, kept per process.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -158,14 +167,13 @@ def sensitivity_matrix(
             counts.append(count_early(ranked, depth, cutoff_year))
             _check_tail_args(depth, counts[-1], proportion)
         grid.append((depth, tuple(counts)))
-    reports = []
+    keys = []
     for index, regime in enumerate(regimes):
         if index:
             proportion = cumulative_proportion(table, cutoff_year, regime=regime)
         name = None if regime is None else regime.name
-        for depth, counts in grid:
-            reports += _reports(sources, depth, counts, proportion, name)
-    return reports
+        keys += [(sources, depth, counts, proportion, name) for depth, counts in grid]
+    return keys
 
 
 def bridge_check(
@@ -180,6 +188,13 @@ def bridge_check(
     divided by the population through ``pool_cutoff_year``, both linearly
     prorated.  ``counts`` holds (depth, early_count) pairs as reported.
     """
+    keys = _bridge_grid(counts, pool_cutoff_year, era_cutoff_year, table)
+    return [r for key in keys for r in _reports(*key)]
+
+
+def _bridge_grid(counts, pool_cutoff_year, era_cutoff_year, table) -> list[tuple]:
+    """The ``_reports`` key of each pair's step, in pair order, with every
+    argument checked."""
     if not isinstance(pool_cutoff_year, int) or not isinstance(era_cutoff_year, int):
         raise DomainError("cutoff years must be integers")
     if era_cutoff_year > pool_cutoff_year:
@@ -193,7 +208,7 @@ def bridge_check(
     proportion = era / pool
     for depth, early in counts:
         _check_tail_args(depth, early, proportion)
-    return [r for depth, early in counts for r in _reports(("external",), depth, (early,), proportion)]
+    return [(("external",), depth, (early,), proportion, None) for depth, early in counts]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

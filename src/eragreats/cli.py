@@ -8,22 +8,24 @@ fixed float rendering, no timestamps, no hash-order iteration.
 Exit codes: 0 success, 2 usage errors (argparse), 3 invalid input data
 or a stdout that cannot be written, 4 domain errors in a computation.  A
 stdout whose reader has gone (a closed pipe) ends with exit 3 and no
-message, since the reader left on purpose.
+message, since the reader left on purpose; a closed stdout (fd 1 not open
+at start) ends with exit 3 and one "cannot write output" line.  A stderr
+that cannot be written loses its one-line message but not the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
-from .analysis import _chance, bridge_check, monte_carlo_oracle, sensitivity_matrix
+from .analysis import _REPORTS_LIMIT, _bridge_grid, _chance, _grid, _reports, monte_carlo_oracle
 from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
@@ -59,22 +61,40 @@ def main(argv=None) -> int:
     try:
         text = args.handler(args)
     except DataError as exc:
-        print(f"eragreats: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 3
     except DomainError as exc:
-        print(f"eragreats: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return 4
     try:
+        if sys.stdout is None:
+            # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # with fd 1 on devnull, the interpreter's exit flush of what is
-        # still buffered stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence(sys.stdout)
         if not isinstance(exc, BrokenPipeError):
-            print(f"eragreats: cannot write output: {exc.strerror}", file=sys.stderr)
+            _complain(f"cannot write output: {exc.strerror}")
         return 3
     return 0
+
+
+def _complain(message: str) -> None:
+    """Print one ``eragreats:`` line to stderr; a stderr that cannot be
+    written loses the line and nothing else."""
+    try:
+        if sys.stderr is not None:
+            print(f"eragreats: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _silence(sys.stderr)
+
+
+def _silence(stream) -> None:
+    """Point a standard stream's fd at devnull, so the interpreter's exit
+    flush of what is still buffered there stays silent."""
+    if stream is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 @functools.cache
@@ -241,22 +261,22 @@ def _cmd_analyze(args) -> str:
     table = load_population_table(args.population)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
-    reports = sensitivity_matrix(lists, [regime], args.depths, args.cutoff, table)
-    return _emit_reports(reports, args.format, regime=False)
+    return _emit_reports(_grid(lists, [regime], args.depths, args.cutoff, table),
+                         args.format, regime=False)
 
 
 def _cmd_sensitivity(args) -> str:
     table = load_population_table(args.population)
     regimes = list(load_weight_regimes(args.weights).values())
     lists = _ranked_lists(args)
-    reports = sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
-    return _emit_reports(reports, args.format, regime=True)
+    return _emit_reports(_grid(lists, regimes, args.depths, args.cutoff, table),
+                         args.format, regime=True)
 
 
 def _cmd_bridge(args) -> str:
     table = load_population_table(args.population)
-    reports = bridge_check(args.counts, args.pool_cutoff, args.cutoff, table)
-    return _emit_reports(reports, args.format, regime=False)
+    keys = _bridge_grid(args.counts, args.pool_cutoff, args.cutoff, table)
+    return _emit_reports(keys, args.format, regime=False)
 
 
 def _cmd_dilution(args) -> str:
@@ -322,58 +342,74 @@ def _emit(rows, fmt: str) -> str:
     return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
 
 
-# each report column and the ``OverrepReport`` field it shows
-_REPORT_FIELDS = {
-    "regime": "regime",
-    "source": "source",
-    "depth": "depth",
-    "early_count": "early_count",
-    "proportion": "proportion_used",
-    "probability": "tail_probability",
-    "chance": "chance.display",
-}
+_REPORT_COLUMNS = (
+    "regime", "source", "depth", "early_count", "proportion", "probability", "chance",
+)
 
 
-def _emit_reports(reports, fmt: str, regime: bool) -> str:
-    """Render a non-empty sequence of reports in ``fmt``, one row each,
-    led by a ``regime`` column when ``regime`` is true.
-
-    The text is what ``_emit`` gives for the rows of the fields above: JSON
-    as ``json.dumps(rows, indent=2)``, table and CSV through ``_render``.
-    A grid repeats few values over many rows, so each distinct value of a
-    column is rendered once per call.  JSON rows follow one row template,
-    cut before each field: each distinct value of a column is written once
-    after its key, as the JSON encoder writes it (text escaped by
-    ``encode_basestring_ascii``, an int or float as its ``repr``), and a
-    row is the join of its fields.  Keying on a float is exact because
-    ``_reports`` gives no share or tail that is NaN, infinite or -0.0.
-    The formatters are looked up as module globals, as ``_cell`` does.
+def _emit_reports(keys, fmt: str, regime: bool) -> str:
+    """Render the reports of a non-empty sequence of ``_reports`` keys in
+    ``fmt``, one row each, led by a ``regime`` column when ``regime`` is
+    true.  The text is what ``_emit`` gives for the rows of the reports'
+    fields: JSON as ``json.dumps(rows, indent=2)``, table and CSV through
+    ``_render``.  Each step's rows come from ``_step_text``: JSON is the
+    steps joined as rows are, CSV the header and then the steps, and a
+    table pads every cell once, to widths that span all the steps.
     """
-    columns = list(_REPORT_FIELDS)[0 if regime else 1:]
-    values = zip(*map(attrgetter(*(_REPORT_FIELDS[name] for name in columns)), reports))
+    steps = [_step_text(key, fmt, regime) for key in keys]
     if fmt == "json":
-        encoders = {"depth": int.__repr__, "early_count": int.__repr__,
-                    "proportion": float.__repr__, "probability": float.__repr__}
-        fields = [
-            _each_once(encoders.get(name, encode_basestring_ascii), column,
-                       ("  {\n" if i == 0 else ",\n") + f'    "{name}": ')
-            for i, (name, column) in enumerate(zip(columns, values))
-        ]
-        return "[\n" + "\n  },\n".join(map("".join, zip(*fields))) + "\n  }\n]\n"
-    formatters = {"depth": str, "early_count": str,
-                  "proportion": format_proportion, "probability": format_probability}
-    cells = [
-        _each_once(formatters[name], column) if name in formatters else column
-        for name, column in zip(columns, values)
-    ]
-    return _render(columns, list(zip(*cells)), fmt)
+        return "[\n" + "\n  },\n".join(steps) + "\n  }\n]\n"
+    columns = _REPORT_COLUMNS[0 if regime else 1:]
+    if fmt == "csv":
+        return ",".join(columns) + "\n" + "".join(steps)
+    widths = list(map(max, map(len, columns), *(step_widths for _, step_widths in steps)))
+    return _table([columns, *(row for rows, _ in steps for row in rows)], widths)
 
 
-def _each_once(func, values, head: str = "") -> list:
-    """``[head + func(v) for v in values]``, calling ``func`` once per
-    distinct value."""
-    memo = {value: head + func(value) for value in set(values)}
-    return list(map(memo.__getitem__, values))
+@functools.lru_cache(maxsize=_REPORTS_LIMIT)
+def _step_text(key: tuple, fmt: str, regime: bool):
+    """The rows of one report step, ``_reports(*key)``, rendered in
+    ``fmt`` for ``_emit_reports``: in JSON the rows' text joined by
+    ``"\\n  },\\n"``, each row from its ``"  {\\n"`` to its last value; in CSV
+    the rows' lines; for a table the rows' cells and each column's widest
+    cell, as tuples.
+
+    The text is kept per process, as many entries as ``_reports`` keeps:
+    a key determines every field of its reports (see ``_reports``), so
+    the text is a function of the key, the format and ``regime``.  Within
+    a step the depth, the share and the regime name are one value each,
+    and each distinct tail is formatted once.  JSON writes each value as
+    the JSON encoder does (text escaped by ``encode_basestring_ascii``, an
+    int or float as its ``repr``).  Rendering raises no error on the
+    reports of a checked key, and ``lru_cache`` keeps only returned
+    values, so no error is ever kept.  The formatters are looked up as
+    module globals, as ``_cell`` does.
+    """
+    _, depth, _, proportion, name = key
+    reports = _reports(*key)
+    if fmt == "json":
+        lead = "  {\n" + (f'    "regime": {encode_basestring_ascii(name)},\n' if regime else "")
+        middle = f',\n    "depth": {depth!r},\n    "early_count": '
+        share = f',\n    "proportion": {proportion!r},\n    "probability": '
+        return "\n  },\n".join(
+            f'{lead}    "source": {encode_basestring_ascii(r.source)}{middle}{r.early_count!r}'
+            f'{share}{r.tail_probability!r},\n    "chance": '
+            f"{encode_basestring_ascii(r.chance.display)}"
+            for r in reports
+        )
+    tails = {tail: format_probability(tail) for tail in {r.tail_probability for r in reports}}
+    lead = (name,) if regime else ()
+    depth, share = str(depth), format_proportion(proportion)
+    rows = tuple(
+        (*lead, r.source, depth, str(r.early_count), share, tails[r.tail_probability],
+         r.chance.display)
+        for r in reports
+    )
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    return rows, tuple(max(map(len, column)) for column in zip(*rows))
 
 
 def _render(columns, rows, fmt: str) -> str:
@@ -384,5 +420,10 @@ def _render(columns, rows, fmt: str) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     table = [columns, *rows]
-    widths = [max(map(len, column)) for column in zip(*table)]
-    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]) + "\n"
+    return _table(table, [max(map(len, column)) for column in zip(*table)])
+
+
+def _table(rows, widths) -> str:
+    """Rows of cells as lines of columns padded to ``widths``, two spaces
+    apart, with no trailing blanks."""
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]) + "\n"

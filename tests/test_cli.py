@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import cli, detrend_career, formatting, load_season_stats, sensitivity_matrix
+from eragreats import (
+    DomainError, analysis, cli, detrend_career, formatting, load_season_stats, sensitivity_matrix,
+)
 from eragreats.analysis import OverrepReport
 from eragreats.defaults import (
     DEFAULT_CUTOFF_YEAR, DEFAULT_DEPTHS, DEFAULT_POOL_CUTOFF_YEAR, data_path,
@@ -25,6 +27,7 @@ from oracles import (
     exact_share,
     one_in_n,
     per_cell_reports,
+    per_pair_bridge,
     reference_report_text,
 )
 
@@ -331,45 +334,57 @@ SHARE_OR_TAIL = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0, 1).map(abs)
 
 @st.composite
 def report_grids(draw):
-    """Reports and whether a ``regime`` column leads, with few distinct
-    texts, shares and tails repeated over the rows, as in a grid."""
+    """The step keys of a multi-step grid, the reports of each key and
+    whether a ``regime`` column leads, with few distinct texts, shares and
+    tails repeated over the rows, as in a grid.  As in a ``_reports``
+    step, the key's depth, share and regime name are every row's."""
     texts = st.sampled_from(draw(st.lists(JSON_TEXT, min_size=1, max_size=4)))
     shares = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=3)))
     tails = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=4)))
     regime = draw(st.booleans())
-    regime_names = texts if regime else st.none() | texts
-    reports = []
-    for _ in range(draw(st.integers(1, 8))):
-        tail = draw(tails)
-        reports.append(OverrepReport(
-            draw(texts), draw(st.integers()), draw(st.integers()), draw(shares), tail,
-            Chance(tail, draw(texts)), draw(regime_names),
-        ))
-    return reports, regime
+    names = texts if regime else st.none() | texts
+    sources = tuple(draw(st.lists(texts, min_size=1, max_size=4)))
+    keys, steps = [], {}
+    for _ in range(draw(st.integers(1, 5))):
+        depth, share, name = draw(st.integers()), draw(shares), draw(names)
+        counts = tuple(draw(st.integers()) for _ in sources)
+        key = (sources, depth, counts, share, name)
+        keys.append(key)
+        if key not in steps:
+            row_tails = [draw(tails) for _ in sources]
+            steps[key] = tuple(
+                OverrepReport(source, depth, k, share, tail, Chance(tail, draw(texts)), name)
+                for source, k, tail in zip(sources, counts, row_tails)
+            )
+    return keys, steps, regime
 
 
 @settings(max_examples=300)
 @given(report_grids())
 def test_report_rows_render_as_the_reference(grid):
-    reports, regime = grid
-    for fmt in cli.FORMATS:
-        assert cli._emit_reports(reports, fmt, regime) == reference_report_text(
-            reports, fmt, regime), fmt
+    # the per-step path the report commands take, built cold and then
+    # kept, on the reports of each key
+    keys, steps, regime = grid
+    reports = [report for key in keys for report in steps[key]]
+    cli._step_text.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_reports", lambda *key: steps[key])
+            for _ in range(2):
+                for fmt in cli.FORMATS:
+                    assert cli._emit_reports(keys, fmt, regime) == reference_report_text(
+                        reports, fmt, regime), fmt
+    finally:
+        # the texts of these made-up steps must not outlive the test
+        cli._step_text.cache_clear()
 
 
-def test_report_renderer_formats_each_distinct_value_once(
-    table, regimes, ranked_lists, monkeypatch
-):
-    # the bundled sensitivity grid repeats its shares and some of its tails;
-    # cli looks the formatters up as module globals, which is also what the
-    # benchmark tracer wraps
-    reports = sensitivity_matrix(
-        ranked_lists, list(regimes.values()), DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table
-    )
-    distinct = {"format_proportion": {r.proportion_used for r in reports},
-                "format_probability": {r.tail_probability for r in reports}}
-    assert all(len(values) < len(reports) for values in distinct.values())
-    calls = {name: [] for name in distinct}
+@pytest.fixture
+def formatter_calls(monkeypatch):
+    """The values each report formatter is called with; cli looks the
+    formatters up as module globals, which is also what the benchmark
+    tracer wraps."""
+    calls = {"format_proportion": [], "format_probability": []}
 
     def counting(name):
         def format_value(value):
@@ -377,15 +392,86 @@ def test_report_renderer_formats_each_distinct_value_once(
             return getattr(formatting, name)(value)
         return format_value
 
-    for name in distinct:
+    for name in calls:
         monkeypatch.setattr(cli, name, counting(name))
+    return calls
+
+
+def test_report_renderer_formats_each_distinct_value_once(
+    table, regimes, ranked_lists, formatter_calls
+):
+    # the bundled sensitivity grid repeats its shares and some of its tails;
+    # built cold, each step formats its one share once and each distinct
+    # tail of its rows once
+    keys = analysis._grid(
+        ranked_lists, list(regimes.values()), DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table
+    )
+    steps = [analysis._reports(*key) for key in keys]
+    expected = {
+        "format_proportion": sorted(key[3] for key in keys),
+        "format_probability": sorted(
+            tail for step in steps for tail in {r.tail_probability for r in step}),
+    }
+    assert {name: len(values) for name, values in expected.items()} == {
+        "format_proportion": 8, "format_probability": 24}
+    assert sum(map(len, steps)) == 32
     for fmt in ("table", "csv"):
-        for values in calls.values():
+        analysis._reports.cache_clear()
+        cli._step_text.cache_clear()
+        for values in formatter_calls.values():
             values.clear()
         code, stdout, _ = run_main(["sensitivity", "--format", fmt])
         assert (code, stdout.encode()) == (0, (GOLDEN / f"sensitivity.{fmt}").read_bytes())
-        assert {name: sorted(values) for name, values in calls.items()} == {
-            name: sorted(values) for name, values in distinct.items()}
+        assert {name: sorted(values) for name, values in formatter_calls.items()} == expected
+
+
+def test_kept_report_text_formats_no_value(formatter_calls):
+    # a warm report command renders from kept step text alone
+    for command in ("analyze", "sensitivity", "bridge"):
+        for fmt in ("table", "csv"):
+            argv = [command, "--format", fmt]
+            run_main(argv)
+            for values in formatter_calls.values():
+                values.clear()
+            code, stdout, _ = run_main(argv)
+            assert (code, stdout.encode()) == (0, (GOLDEN / f"{command}.{fmt}").read_bytes())
+            assert formatter_calls == {"format_proportion": [], "format_probability": []}
+
+
+def test_report_text_past_the_bound_is_still_correct(table):
+    # one bridge pair is one kept step: more distinct pairs than the bound
+    # evict the first ones, which a second call must render again
+    pairs = [(n, k) for n in range(1, 40) for k in range(n + 1)][:cli._REPORTS_LIMIT + 40]
+    reports = per_pair_bridge(pairs, DEFAULT_POOL_CUTOFF_YEAR, DEFAULT_CUTOFF_YEAR, table)
+    counts = ",".join(f"{n}:{k}" for n, k in pairs)
+    for fmt in cli.FORMATS:
+        expected = (0, reference_report_text(reports, fmt), "")
+        cli._step_text.cache_clear()
+        assert run_main(["bridge", "--counts", counts, "--format", fmt]) == expected
+        assert cli._step_text.cache_info().currsize == cli._REPORTS_LIMIT
+        assert run_main(["bridge", "--counts", counts, "--format", fmt]) == expected
+
+
+def test_report_text_keeps_no_error(table, ranked_lists, monkeypatch):
+    # a step whose rendering fails is rendered afresh on the next call
+    keys = analysis._grid(ranked_lists, [None], DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table)
+    reports = sensitivity_matrix(ranked_lists, [None], DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table)
+
+    def failing(value):
+        raise RuntimeError("formatter failed")
+
+    cli._step_text.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "format_probability", failing)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="formatter failed"):
+                cli._emit_reports(keys, "csv", False)
+    # a key no caller would pass raises from its report step, every time
+    for _ in range(2):
+        with pytest.raises(DomainError, match="1001"):
+            cli._step_text((("x",), 1001, (3,), 0.5, None), "json", False)
+    assert cli._step_text.cache_info().currsize == 0
+    assert cli._emit_reports(keys, "csv", False) == reference_report_text(reports, "csv")
 
 
 def test_one_process_runs_many_commands_as_fresh_ones():
@@ -552,7 +638,12 @@ def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
         ["sensitivity", "--cutoff", "1860", "--depths", "26"],
     ]
     grid = [run_main(argv) for argv in invocations]
-    monkeypatch.setattr(cli, "sensitivity_matrix", per_cell_reports)
+
+    def per_cell_grid(*args):
+        per_cell_reports(*args)
+        raise AssertionError("the per-cell loop found no fault")
+
+    monkeypatch.setattr(cli, "_grid", per_cell_grid)
     assert grid == [run_main(argv) for argv in invocations]
     assert {code for code, _, _ in grid} == {3, 4}
     assert all(stdout == "" for _, stdout, _ in grid)
@@ -588,6 +679,35 @@ def test_a_full_stdout_exits_3_with_one_line():
     lines = result.stderr.decode().splitlines()
     assert result.returncode == 3
     assert len(lines) == 1 and lines[0].startswith("eragreats: cannot write output: "), lines
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+def test_a_closed_stdout_exits_3_with_one_line():
+    # with fd 1 closed at start the interpreter sets sys.stdout to None
+    result = subprocess.run(
+        [sys.executable, "-m", "eragreats", "analyze"],
+        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+    )
+    assert (result.returncode, result.stderr) == (
+        3, b"eragreats: cannot write output: Bad file descriptor\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, full_stdout, code", [
+    (["proportion", "--cutoff", "3000"], False, 4),
+    (["proportion", "--cutoff", "3000"], True, 4),
+    (["analyze", "--list", "{tmp}/missing.csv"], False, 3),
+    (["analyze", "--list", "{tmp}/missing.csv"], True, 3),
+    (["analyze"], True, 3),
+])
+def test_an_unwritable_stderr_keeps_the_exit_code(tmp_path, argv, full_stdout, code):
+    # the one-line message is lost, the documented exit code is not
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "eragreats", *(arg.format(tmp=tmp_path) for arg in argv)],
+            stdout=full if full_stdout else subprocess.PIPE, stderr=full,
+        )
+    assert (result.returncode, result.stdout or b"") == (code, b"")
 
 
 # ------------------------------------------------------ CLI contract

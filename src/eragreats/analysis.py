@@ -17,7 +17,14 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
-from .population import PopulationTable, WeightRegime, _exact_population, cumulative_proportion
+from .population import (
+    _PARSED_LIMIT,
+    PopulationTable,
+    WeightRegime,
+    _exact_population,
+    _parsed_lock,
+    cumulative_proportion,
+)
 from .rankings import RankedList, count_early
 from .tailprob import Chance, _check_tail_args, binomial_tail, chance_format
 
@@ -72,7 +79,8 @@ def _chance(probability: float) -> Chance:
 # report-grid pass of the benchmark makes 1920 steps: 89, 90 and 95
 # distinct keys on seeds 1, 2 and 3, rendered as 153, 154 and 159 distinct
 # (key, format, regime column) texts, so each cache holds a whole pass with
-# room to spare; an entry holds one report or row per source
+# room to spare; an entry holds one report or row per source.  The same
+# pass keeps 18 grids of 132 keys in all in ``_grids`` on each seed
 _REPORTS_LIMIT = 256
 
 
@@ -133,12 +141,18 @@ def sensitivity_matrix(
     Row order is regimes in the given order, then depths in the given
     order, then lists in the given order.  A ``None`` regime gives the
     unweighted reports.  Each (regime, depth) is one ``_reports`` step,
-    kept per process.
+    kept per process, and the grid's step keys are kept per its inputs
+    (see ``_grid``).
     """
     return [r for key in _grid(lists, regimes, depths, cutoff_year, table) for r in _reports(*key)]
 
 
-def _grid(lists, regimes, depths, cutoff_year, table) -> list[tuple]:
+# ``_grid``'s kept grids: (list ids, regime ids, depths, cutoff, table id)
+# -> (keys, lists, regimes, table), the oldest entry first
+_grids: dict = {}
+
+
+def _grid(lists, regimes, depths, cutoff_year, table) -> tuple[tuple, ...]:
     """The ``_reports`` key of each (regime, depth) step of a grid, in row
     order, with every argument of every step checked.
 
@@ -148,6 +162,19 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> list[tuple]:
     order, so the first error is the one checking every cell afresh would
     raise.  After that only a share can fail, as every share lies in
     [0, 1]: a later regime is one share, with the first regime's counts.
+
+    The keys are kept per process in ``_grids``, keyed on the identity of
+    each list, each regime and the table, with the depths and the cutoff,
+    for up to ``_PARSED_LIMIT`` grids; the oldest goes first.  Lists,
+    regimes and tables are frozen (their entries, weights and records are
+    read-only, as the kept ``start_years``, ``years`` and prefix sums
+    already assume), so the keys are a function of those objects: a
+    repeated grid over the same parsed inputs is one lookup, and a file
+    parsed again gives new objects and misses.  An entry holds the objects
+    its ids name, so no id is reused while it is kept.  Only a grid whose
+    cutoff and depths are all exactly ``int`` is kept or looked up, since
+    ``True == 1`` and ``1950.0 == 1950`` hash alike but are refused.  No
+    error is ever kept, and the keys are a tuple, which no caller can edit.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -155,6 +182,13 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> list[tuple]:
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
+    depths = tuple(depths)
+    exact = type(cutoff_year) is int and all(type(depth) is int for depth in depths)
+    if exact:
+        kept_key = (tuple(map(id, lists)), tuple(map(id, regimes)), depths, cutoff_year, id(table))
+        kept = _grids.get(kept_key)
+        if kept is not None:
+            return kept[0]
     sources = tuple(ranked.source for ranked in lists)
     grid = []
     for position, depth in enumerate(depths):
@@ -173,6 +207,13 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> list[tuple]:
             proportion = cumulative_proportion(table, cutoff_year, regime=regime)
         name = None if regime is None else regime.name
         keys += [(sources, depth, counts, proportion, name) for depth, counts in grid]
+    keys = tuple(keys)
+    if exact:
+        # evict-then-store is one step for threads, as in the parse cache
+        with _parsed_lock:
+            if len(_grids) >= _PARSED_LIMIT:
+                del _grids[next(iter(_grids))]
+            _grids[kept_key] = keys, tuple(lists), tuple(regimes), table
     return keys
 
 

@@ -366,6 +366,7 @@ def test_report_rows_render_as_the_reference(grid):
     # kept, on the reports of each key
     keys, steps, regime = grid
     reports = [report for key in keys for report in steps[key]]
+    analysis._grids.clear()
     cli._step_text.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
@@ -376,6 +377,7 @@ def test_report_rows_render_as_the_reference(grid):
                         reports, fmt, regime), fmt
     finally:
         # the texts of these made-up steps must not outlive the test
+        analysis._grids.clear()
         cli._step_text.cache_clear()
 
 
@@ -416,6 +418,7 @@ def test_report_renderer_formats_each_distinct_value_once(
         "format_proportion": 8, "format_probability": 24}
     assert sum(map(len, steps)) == 32
     for fmt in ("table", "csv"):
+        analysis._grids.clear()
         analysis._reports.cache_clear()
         cli._step_text.cache_clear()
         for values in formatter_calls.values():
@@ -446,6 +449,7 @@ def test_report_text_past_the_bound_is_still_correct(table):
     counts = ",".join(f"{n}:{k}" for n, k in pairs)
     for fmt in cli.FORMATS:
         expected = (0, reference_report_text(reports, fmt), "")
+        analysis._grids.clear()
         cli._step_text.cache_clear()
         assert run_main(["bridge", "--counts", counts, "--format", fmt]) == expected
         assert cli._step_text.cache_info().currsize == cli._REPORTS_LIMIT
@@ -460,6 +464,7 @@ def test_report_text_keeps_no_error(table, ranked_lists, monkeypatch):
     def failing(value):
         raise RuntimeError("formatter failed")
 
+    analysis._grids.clear()
     cli._step_text.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(cli, "format_probability", failing)

@@ -5,6 +5,10 @@ many of the top players started their careers by the cutoff, look up the
 share of the all-time eligible pool that existed by then, and ask how
 surprising that count would be if greatness were spread evenly over the
 pool (an exact binomial tail).
+
+Nothing is kept between calls: each call checks its inputs and takes its
+tails afresh, one ``binomial_tail`` per distinct (depth, count, share).
+The command line keeps each report command's output text (see ``cli``).
 """
 
 from __future__ import annotations
@@ -12,17 +16,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .population import (
-    _PARSED_LIMIT,
     PopulationTable,
     WeightRegime,
     _exact_population,
-    _parsed_lock,
     cumulative_proportion,
 )
 from .rankings import RankedList, count_early
@@ -75,42 +76,17 @@ def _chance(probability: float) -> Chance:
     return chance_format(probability)
 
 
-# report steps kept per process, and (in cli) their rendered texts.  One
-# report-grid pass of the benchmark makes 1920 steps: 89, 90 and 95
-# distinct keys on seeds 1, 2 and 3, rendered as 153, 154 and 159 distinct
-# (key, format, regime column) texts, so each cache holds a whole pass with
-# room to spare; an entry holds one report or row per source.  The same
-# pass keeps 18 grids of 132 keys in all in ``_grids`` on each seed
-_REPORTS_LIMIT = 256
-
-
-@lru_cache(maxsize=_REPORTS_LIMIT)
-def _reports(
-    sources: tuple[str, ...], depth: int, counts: tuple[int, ...], proportion: float,
-    regime: str | None = None,
-) -> tuple[OverrepReport, ...]:
-    """A report per (source, count) with checked tail arguments: each
-    distinct count's tail is one ``binomial_tail`` call, and reports with
-    equal counts share it and its ``Chance``.
-
-    The result is kept per argument tuple, which determines every field of
-    every report: the source, depth, count and share, the tail
-    ``binomial_tail(depth, count, share)`` and its ``Chance``, and the
-    regime name.  Callers check every argument before this step runs, so
-    no error is ever kept and the first error of a call is unchanged.  A
-    share is never NaN and never -0.0 (a ratio of non-negative integers is
-    at least +0.0), so equal keys are equal shares.  Every share and tail
-    lies in [0, 1] and is never NaN, infinite or -0.0 (a tail is a ratio of
-    non-negative integers), so the CLI renderer may key each on its float
-    value.  The reports are frozen and the result a tuple; callers copy it
-    into lists of their own.
-    """
-    chances = {k: _chance(binomial_tail(depth, k, proportion)) for k in set(counts)}
+def _report(source, depth, count, proportion, regime, chances) -> OverrepReport:
+    """The report of one (source, count) with checked tail arguments.
+    ``chances`` maps each (depth, count, share) already seen in the call
+    to its ``Chance``, so each distinct one is one ``binomial_tail`` call;
+    a share is never NaN, so equal keys are equal shares."""
+    key = depth, count, proportion
+    chance = chances.get(key)
+    if chance is None:
+        chance = chances[key] = _chance(binomial_tail(depth, count, proportion))
     # positional: keyword construction costs about 1.8 times as much
-    return tuple(
-        OverrepReport(source, depth, k, proportion, chances[k].probability, chances[k], regime)
-        for source, k in zip(sources, counts)
-    )
+    return OverrepReport(source, depth, count, proportion, chance.probability, chance, regime)
 
 
 def analyze(
@@ -140,21 +116,7 @@ def sensitivity_matrix(
 
     Row order is regimes in the given order, then depths in the given
     order, then lists in the given order.  A ``None`` regime gives the
-    unweighted reports.  Each (regime, depth) is one ``_reports`` step,
-    kept per process, and the grid's step keys are kept per its inputs
-    (see ``_grid``).
-    """
-    return [r for key in _grid(lists, regimes, depths, cutoff_year, table) for r in _reports(*key)]
-
-
-# ``_grid``'s kept grids: (list ids, regime ids, depths, cutoff, table id)
-# -> (keys, lists, regimes, table), the oldest entry first
-_grids: dict = {}
-
-
-def _grid(lists, regimes, depths, cutoff_year, table) -> tuple[tuple, ...]:
-    """The ``_reports`` key of each (regime, depth) step of a grid, in row
-    order, with every argument of every step checked.
+    unweighted reports.
 
     Each cell needs its list's span check, its regime's share and its
     (list, depth) early count, in that order, each count followed by its
@@ -162,19 +124,7 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> tuple[tuple, ...]:
     order, so the first error is the one checking every cell afresh would
     raise.  After that only a share can fail, as every share lies in
     [0, 1]: a later regime is one share, with the first regime's counts.
-
-    The keys are kept per process in ``_grids``, keyed on the identity of
-    each list, each regime and the table, with the depths and the cutoff,
-    for up to ``_PARSED_LIMIT`` grids; the oldest goes first.  Lists,
-    regimes and tables are frozen (their entries, weights and records are
-    read-only, as the kept ``start_years``, ``years`` and prefix sums
-    already assume), so the keys are a function of those objects: a
-    repeated grid over the same parsed inputs is one lookup, and a file
-    parsed again gives new objects and misses.  An entry holds the objects
-    its ids name, so no id is reused while it is kept.  Only a grid whose
-    cutoff and depths are all exactly ``int`` is kept or looked up, since
-    ``True == 1`` and ``1950.0 == 1950`` hash alike but are refused.  No
-    error is ever kept, and the keys are a tuple, which no caller can edit.
+    Each distinct (depth, count, share) of the call is one tail.
     """
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
@@ -182,14 +132,6 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> tuple[tuple, ...]:
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
-    depths = tuple(depths)
-    exact = type(cutoff_year) is int and all(type(depth) is int for depth in depths)
-    if exact:
-        kept_key = (tuple(map(id, lists)), tuple(map(id, regimes)), depths, cutoff_year, id(table))
-        kept = _grids.get(kept_key)
-        if kept is not None:
-            return kept[0]
-    sources = tuple(ranked.source for ranked in lists)
     grid = []
     for position, depth in enumerate(depths):
         counts = []
@@ -200,21 +142,18 @@ def _grid(lists, regimes, depths, cutoff_year, table) -> tuple[tuple, ...]:
                     proportion = cumulative_proportion(table, cutoff_year, regime=regimes[0])
             counts.append(count_early(ranked, depth, cutoff_year))
             _check_tail_args(depth, counts[-1], proportion)
-        grid.append((depth, tuple(counts)))
-    keys = []
+        grid.append((depth, counts))
+    chances = {}
+    reports = []
     for index, regime in enumerate(regimes):
         if index:
             proportion = cumulative_proportion(table, cutoff_year, regime=regime)
         name = None if regime is None else regime.name
-        keys += [(sources, depth, counts, proportion, name) for depth, counts in grid]
-    keys = tuple(keys)
-    if exact:
-        # evict-then-store is one step for threads, as in the parse cache
-        with _parsed_lock:
-            if len(_grids) >= _PARSED_LIMIT:
-                del _grids[next(iter(_grids))]
-            _grids[kept_key] = keys, tuple(lists), tuple(regimes), table
-    return keys
+        reports += [
+            _report(ranked.source, depth, k, proportion, name, chances)
+            for depth, counts in grid for ranked, k in zip(lists, counts)
+        ]
+    return reports
 
 
 def bridge_check(
@@ -227,15 +166,9 @@ def bridge_check(
 
     The null proportion is the population through ``era_cutoff_year``
     divided by the population through ``pool_cutoff_year``, both linearly
-    prorated.  ``counts`` holds (depth, early_count) pairs as reported.
+    prorated.  ``counts`` holds (depth, early_count) pairs as reported;
+    every pair is checked, in order, before any tail is taken.
     """
-    keys = _bridge_grid(counts, pool_cutoff_year, era_cutoff_year, table)
-    return [r for key in keys for r in _reports(*key)]
-
-
-def _bridge_grid(counts, pool_cutoff_year, era_cutoff_year, table) -> list[tuple]:
-    """The ``_reports`` key of each pair's step, in pair order, with every
-    argument checked."""
     if not isinstance(pool_cutoff_year, int) or not isinstance(era_cutoff_year, int):
         raise DomainError("cutoff years must be integers")
     if era_cutoff_year > pool_cutoff_year:
@@ -249,7 +182,9 @@ def _bridge_grid(counts, pool_cutoff_year, era_cutoff_year, table) -> list[tuple
     proportion = era / pool
     for depth, early in counts:
         _check_tail_args(depth, early, proportion)
-    return [(("external",), depth, (early,), proportion, None) for depth, early in counts]
+    chances = {}
+    return [_report("external", depth, early, proportion, None, chances)
+            for depth, early in counts]
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

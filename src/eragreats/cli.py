@@ -3,7 +3,11 @@
 Subcommands mirror the library: ``proportion``, ``tail``, ``analyze``,
 ``sensitivity``, ``bridge``, ``dilution``, ``detrend``.  All output is
 deterministic byte-for-byte for a given invocation: fixed column orders,
-fixed float rendering, no timestamps, no hash-order iteration.
+fixed float rendering, no timestamps, no hash-order iteration.  The
+output text of each report command (``analyze``, ``sensitivity``,
+``bridge``) is kept per process, keyed on its arguments and parsed inputs
+(``_report_text``), so a repeated command over the same file bytes is one
+lookup; the library calls behind it keep nothing.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 invalid input data
 or a stdout that cannot be written, 4 domain errors in a computation.  A
@@ -23,9 +27,8 @@ import io
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
-from .analysis import _REPORTS_LIMIT, _bridge_grid, _chance, _grid, _reports, monte_carlo_oracle
+from .analysis import _chance, bridge_check, monte_carlo_oracle, sensitivity_matrix
 from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
@@ -48,7 +51,7 @@ from .dilution import (
 )
 from .errors import DataError, DomainError
 from .formatting import format_probability, format_proportion
-from .population import cumulative_proportion, load_population_table, load_weight_regimes
+from .population import _keep, cumulative_proportion, load_population_table, load_weight_regimes
 from .rankings import load_ranked_list
 from .tailprob import binomial_tail
 
@@ -261,22 +264,52 @@ def _cmd_analyze(args) -> str:
     table = load_population_table(args.population)
     regime = _pick_regime(args)
     lists = _ranked_lists(args)
-    return _emit_reports(_grid(lists, [regime], args.depths, args.cutoff, table),
-                         args.format, regime=False)
+    return _report_text(args, (table, regime, *lists), False, lambda: sensitivity_matrix(
+        lists, [regime], args.depths, args.cutoff, table))
 
 
 def _cmd_sensitivity(args) -> str:
     table = load_population_table(args.population)
     regimes = list(load_weight_regimes(args.weights).values())
     lists = _ranked_lists(args)
-    return _emit_reports(_grid(lists, regimes, args.depths, args.cutoff, table),
-                         args.format, regime=True)
+    return _report_text(args, (table, *regimes, *lists), True, lambda: sensitivity_matrix(
+        lists, regimes, args.depths, args.cutoff, table))
 
 
 def _cmd_bridge(args) -> str:
     table = load_population_table(args.population)
-    keys = _bridge_grid(args.counts, args.pool_cutoff, args.cutoff, table)
-    return _emit_reports(keys, args.format, regime=False)
+    return _report_text(args, (table,), False, lambda: bridge_check(
+        args.counts, args.pool_cutoff, args.cutoff, table))
+
+
+# report command texts: (every parsed argument, the id of each parsed
+# input) -> (text, inputs), the oldest entry first
+_texts: dict = {}
+
+
+def _report_text(args, inputs: tuple, regime: bool, reports) -> str:
+    """The ``args.format`` text of the reports ``reports()`` returns, one
+    row each, led by a ``regime`` column when ``regime`` is true; kept per
+    process.
+
+    The key is every parsed argument (a list of paths as a tuple) and the
+    identity of each parsed input: the table, the regimes and the lists.
+    The parse cache hands back the same objects for the same file bytes,
+    and they are immutable, so the text is a function of the key; a file
+    read again with new bytes gives new objects and misses.  An entry
+    holds its inputs, so no id is reused while it is kept.  Up to
+    ``_PARSED_LIMIT`` texts are kept, the oldest going first, and an
+    error is never kept: every input is loaded, and so checked, before
+    the lookup, and a miss raises before anything is stored.
+    """
+    key = (*[(name, tuple(value) if isinstance(value, list) else value)
+             for name, value in vars(args).items()], *map(id, inputs))
+    kept = _texts.get(key)
+    if kept is not None:
+        return kept[0]
+    text = _emit(_report_rows(reports(), regime), args.format)
+    _keep(_texts, key, (text, inputs))
+    return text
 
 
 def _cmd_dilution(args) -> str:
@@ -317,11 +350,13 @@ def _cmd_detrend(args) -> str:
 
 
 def _cell(column: str, value) -> str:
-    """Display text of one value of a ``tail``, ``dilution`` or ``detrend``
-    row.  The formatters are looked up as module globals at each call, so a
-    wrapper installed there (as the benchmark tracer does) sees every call."""
+    """Display text of one value of a row.  The formatters are looked up
+    as module globals at each call, so a wrapper installed there (as the
+    benchmark tracer does) sees every call."""
     if column in ("probability", "monte_carlo"):
         return format_probability(value)
+    if column == "proportion":
+        return format_proportion(value)
     if column == "per_roster_spot_thousands":
         return format_per_roster_spot(value)
     if isinstance(value, float):
@@ -342,74 +377,14 @@ def _emit(rows, fmt: str) -> str:
     return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
 
 
-_REPORT_COLUMNS = (
-    "regime", "source", "depth", "early_count", "proportion", "probability", "chance",
-)
-
-
-def _emit_reports(keys, fmt: str, regime: bool) -> str:
-    """Render the reports of a non-empty sequence of ``_reports`` keys in
-    ``fmt``, one row each, led by a ``regime`` column when ``regime`` is
-    true.  The text is what ``_emit`` gives for the rows of the reports'
-    fields: JSON as ``json.dumps(rows, indent=2)``, table and CSV through
-    ``_render``.  Each step's rows come from ``_step_text``: JSON is the
-    steps joined as rows are, CSV the header and then the steps, and a
-    table pads every cell once, to widths that span all the steps.
-    """
-    steps = [_step_text(key, fmt, regime) for key in keys]
-    if fmt == "json":
-        return "[\n" + "\n  },\n".join(steps) + "\n  }\n]\n"
-    columns = _REPORT_COLUMNS[0 if regime else 1:]
-    if fmt == "csv":
-        return ",".join(columns) + "\n" + "".join(steps)
-    widths = list(map(max, map(len, columns), *(step_widths for _, step_widths in steps)))
-    return _table([columns, *(row for rows, _ in steps for row in rows)], widths)
-
-
-@functools.lru_cache(maxsize=_REPORTS_LIMIT)
-def _step_text(key: tuple, fmt: str, regime: bool):
-    """The rows of one report step, ``_reports(*key)``, rendered in
-    ``fmt`` for ``_emit_reports``: in JSON the rows' text joined by
-    ``"\\n  },\\n"``, each row from its ``"  {\\n"`` to its last value; in CSV
-    the rows' lines; for a table the rows' cells and each column's widest
-    cell, as tuples.
-
-    The text is kept per process, as many entries as ``_reports`` keeps:
-    a key determines every field of its reports (see ``_reports``), so
-    the text is a function of the key, the format and ``regime``.  Within
-    a step the depth, the share and the regime name are one value each,
-    and each distinct tail is formatted once.  JSON writes each value as
-    the JSON encoder does (text escaped by ``encode_basestring_ascii``, an
-    int or float as its ``repr``).  Rendering raises no error on the
-    reports of a checked key, and ``lru_cache`` keeps only returned
-    values, so no error is ever kept.  The formatters are looked up as
-    module globals, as ``_cell`` does.
-    """
-    _, depth, _, proportion, name = key
-    reports = _reports(*key)
-    if fmt == "json":
-        lead = "  {\n" + (f'    "regime": {encode_basestring_ascii(name)},\n' if regime else "")
-        middle = f',\n    "depth": {depth!r},\n    "early_count": '
-        share = f',\n    "proportion": {proportion!r},\n    "probability": '
-        return "\n  },\n".join(
-            f'{lead}    "source": {encode_basestring_ascii(r.source)}{middle}{r.early_count!r}'
-            f'{share}{r.tail_probability!r},\n    "chance": '
-            f"{encode_basestring_ascii(r.chance.display)}"
-            for r in reports
-        )
-    tails = {tail: format_probability(tail) for tail in {r.tail_probability for r in reports}}
-    lead = (name,) if regime else ()
-    depth, share = str(depth), format_proportion(proportion)
-    rows = tuple(
-        (*lead, r.source, depth, str(r.early_count), share, tails[r.tail_probability],
-         r.chance.display)
+def _report_rows(reports, regime: bool) -> list[dict]:
+    """One row per report, led by a ``regime`` column when ``regime`` is true."""
+    return [
+        {**({"regime": r.regime} if regime else {}), "source": r.source, "depth": r.depth,
+         "early_count": r.early_count, "proportion": r.proportion_used,
+         "probability": r.tail_probability, "chance": r.chance.display}
         for r in reports
-    )
-    if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-    return rows, tuple(max(map(len, column)) for column in zip(*rows))
+    ]
 
 
 def _render(columns, rows, fmt: str) -> str:
@@ -419,11 +394,7 @@ def _render(columns, rows, fmt: str) -> str:
         writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
+    # columns padded to their widest cell, two spaces apart, no trailing blanks
     table = [columns, *rows]
-    return _table(table, [max(map(len, column)) for column in zip(*table)])
-
-
-def _table(rows, widths) -> str:
-    """Rows of cells as lines of columns padded to ``widths``, two spaces
-    apart, with no trailing blanks."""
-    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]) + "\n"
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]) + "\n"

@@ -180,10 +180,7 @@ def _exact_population(
         lengths = [rec.period_length_years for rec in table.records]
         per_year = [p * (common // q) * (2520 // n) for (p, q), n in zip(terms, lengths)]
         sums = [0, *accumulate(map(operator.mul, per_year, lengths))], per_year, 2520 * common
-        with _parsed_lock:
-            if len(table._sums) >= _PARSED_LIMIT:
-                del table._sums[next(iter(table._sums))]
-            table._sums[key] = sums
+        _keep(table._sums, key, sums)
     prefix, per_year, scale = sums
     # periods are ordered and do not overlap: the ones that end by the
     # cutoff are a prefix, and only the next one can be split
@@ -225,12 +222,21 @@ def cumulative_proportion(
     return numerator / denominator
 
 
-# parsed files, keyed on (loader key, file bytes); the oldest entry goes
-# first once the map holds this many.  The lock makes evict-then-store one
-# step for threads that load at once, here and in ``_exact_population``
+# parsed files, keyed on (loader key, file bytes); every kept map holds
+# at most this many entries (see ``_keep``)
 _PARSED_LIMIT = 32
 _parsed: dict = {}
 _parsed_lock = threading.Lock()
+
+
+def _keep(store: dict, key, value) -> None:
+    """Store ``value`` under ``key`` in ``store``, first evicting the
+    oldest entry once ``store`` holds ``_PARSED_LIMIT``.  The lock makes
+    evict-then-store one step for threads that store at once."""
+    with _parsed_lock:
+        if len(store) >= _PARSED_LIMIT:
+            del store[next(iter(store))]
+        store[key] = value
 
 
 def read_rows(path, columns, make, build=list, *, key):
@@ -273,10 +279,7 @@ def read_rows(path, columns, make, build=list, *, key):
     value = _parsed.get(entry)
     if value is None:
         value = _parse(path, raw, columns, make, build)
-        with _parsed_lock:
-            if len(_parsed) >= _PARSED_LIMIT:
-                del _parsed[next(iter(_parsed))]
-            _parsed[entry] = value
+        _keep(_parsed, entry, value)
     # what the loaders build is immutable, but a list or dict holding it is not
     return value.copy() if isinstance(value, (list, dict)) else value
 

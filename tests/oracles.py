@@ -17,11 +17,13 @@ enumeration oracle it imports nothing from the package.
 row at a time with no parse cache, as the reference the package reader
 must match in every object it builds and every error it raises, whether
 it parses a file afresh or returns it from its cache; ``indented_json``
-is the original JSON rendering the row encoder must match byte for byte.
+is the original JSON rendering the CLI's JSON output must match byte
+for byte.
 
 ``reference_report_text`` keeps the CLI's original report rendering, one
 row dict per report and every cell formatted afresh, as the reference
-the report renderer must match byte for byte in every format.
+the CLI's report rows rendered through ``cli._emit``, and so every kept
+report text, must match byte for byte in every format.
 
 ``exact_cumulative_population`` and ``exact_cumulative_proportion`` take
 each total in rational arithmetic at the exact values of the table's and

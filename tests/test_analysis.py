@@ -4,9 +4,6 @@ ordering guarantees, the truncated-pool bridge, and the simulation oracle.
 
 import collections
 import math
-import operator
-import sys
-import threading
 from dataclasses import astuple
 
 import numpy as np
@@ -25,14 +22,10 @@ from eragreats import (
     count_early,
     cumulative_population,
     cumulative_proportion,
-    load_population_table,
-    load_ranked_list,
-    load_weight_regimes,
     monte_carlo_oracle,
     sensitivity_matrix,
 )
 from eragreats import analysis
-from eragreats.defaults import DEFAULT_LIST_NAMES, data_path
 from oracles import enumerated_tail, exact_population, per_cell_reports, per_pair_bridge
 
 
@@ -330,12 +323,30 @@ def test_report_shares_and_tails_are_finite_and_never_negative_zero(table, data)
         assert positive_finite(report.tail_probability), report
 
 
-# ------------------------------------------------- kept report steps
+# ------------------------------------------------------- grid steps
+
+@pytest.fixture
+def grid_step_calls(monkeypatch):
+    """The calls of each step a grid runs, by name; analysis looks them up
+    as module globals."""
+    calls = collections.Counter()
+
+    def counting(name, step):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return step(*args, **kwargs)
+        return counted
+
+    for name in ("_check_span", "cumulative_proportion", "count_early", "_check_tail_args"):
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    return calls
+
 
 def test_grid_and_bridge_match_their_oracles_cold_and_warm(
-    table, regimes, ranked_lists, monkeypatch
+    table, regimes, ranked_lists, monkeypatch, grid_step_calls
 ):
-    # a built step takes one tail per distinct count and a kept step none;
+    # nothing is kept between calls: every call takes one tail per distinct
+    # (depth, count, share) and the grid runs each of its checks once;
     # analysis looks binomial_tail up as a module global, which is also
     # what the benchmark tracer wraps
     calls = []
@@ -345,8 +356,6 @@ def test_grid_and_bridge_match_their_oracles_cold_and_warm(
         return binomial_tail(n, k, p)
 
     monkeypatch.setattr(analysis, "binomial_tail", counting)
-    analysis._reports.cache_clear()
-    analysis._grids.clear()
     grid = (ranked_lists, [None, regimes["w1"], regimes["w3"]], [10, 25], 1950, table)
     bridge = ([(10, 6), (25, 10), (10, 6), (25, 0)], 1999, 1950, table)
     for evaluate, oracle, args in ((sensitivity_matrix, per_cell_reports, grid),
@@ -354,10 +363,15 @@ def test_grid_and_bridge_match_their_oracles_cold_and_warm(
         expected = outcome(oracle, *args)
         tails = [(depth, count, share) for _, depth, count, share, *_ in expected]
         assert len(set(tails)) < len(tails)
-        for built in (True, False):
+        for _ in range(2):
             calls.clear()
+            grid_step_calls.clear()
             assert outcome(evaluate, *args) == expected
-            assert sorted(calls) == (sorted(set(tails)) if built else [])
+            assert sorted(calls) == sorted(set(tails))
+            if evaluate is sensitivity_matrix:
+                # 4 spans, 3 shares, then 2 depths x 4 lists of counts and tail checks
+                assert grid_step_calls == {"_check_span": 4, "cumulative_proportion": 3,
+                                           "count_early": 8, "_check_tail_args": 8}
     # every grid group mixes distinct counts, some of them repeated
     groups = {}
     for _, depth, count, share, *_ in outcome(per_cell_reports, *grid):
@@ -401,73 +415,19 @@ def test_an_error_is_raised_again_on_every_call(table, ranked_lists):
             DomainError, "n must be in [1, 1000], got 1001")
 
 
-def test_reports_past_the_bound_are_still_correct(table):
-    # one bridge pair is one kept step: more distinct pairs than the bound
-    # evict the first ones, which a second call must build again
-    pairs = [(n, k) for n in range(1, 40) for k in range(n + 1)][:analysis._REPORTS_LIMIT + 40]
-    args = (pairs, 1999, 1950, table)
-    expected = outcome(per_pair_bridge, *args)
-    analysis._reports.cache_clear()
-    analysis._grids.clear()
-    assert outcome(bridge_check, *args) == expected
-    assert analysis._reports.cache_info().currsize == analysis._REPORTS_LIMIT
-    assert outcome(bridge_check, *args) == expected
-
-
-# ------------------------------------------------------- kept grids
-
-@pytest.fixture
-def grid_step_calls(monkeypatch):
-    """The calls of each step a grid build runs, by name; analysis looks
-    them up as module globals."""
-    calls = collections.Counter()
-
-    def counting(name, step):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return step(*args, **kwargs)
-        return counted
-
-    for name in ("_check_span", "cumulative_proportion", "count_early", "_check_tail_args"):
-        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
-    return calls
-
-
-def test_a_kept_grid_repeats_no_check(table, regimes, ranked_lists, grid_step_calls):
-    args = (ranked_lists, [None, regimes["w2"], regimes["w4"]], [10, 25], 1950, table)
-    expected = outcome(per_cell_reports, *args)
-    grid_step_calls.clear()
-    analysis._grids.clear()
-    assert outcome(sensitivity_matrix, *args) == expected
-    # 4 spans, 3 shares, then 2 depths x 4 lists of counts and tail checks
-    assert grid_step_calls == {
-        "_check_span": 4, "cumulative_proportion": 3, "count_early": 8, "_check_tail_args": 8}
-    keys = analysis._grid(*args)
-    assert type(keys) is tuple
-    grid_step_calls.clear()
-    assert outcome(sensitivity_matrix, *args) == expected
-    # the key is the identity of each list and regime, not of their containers
-    assert analysis._grid(list(ranked_lists), (None, regimes["w2"], regimes["w4"]),
-                          (10, 25), 1950, table) is keys
-    assert not grid_step_calls
-    assert len(analysis._grids) == 1
-
-
 @pytest.mark.parametrize("depths, cutoff, error", [
     ([True], 1950, "depth must be an integer, got True"),
     ([10.0], 1950, "depth must be an integer, got 10.0"),
     ([10], 1950.0, "cutoff year must be an integer, got 1950.0"),
 ])
 def test_an_equal_non_int_does_not_find_a_kept_grid(table, ranked_lists, depths, cutoff, error):
-    # True == 1 and 1950.0 == 1950 hash alike, but a cold call refuses both
+    # True == 1 and 1950.0 == 1950 hash alike, but a grid refuses both,
+    # also after the equal int grid has run
     args = (ranked_lists, [None], depths, cutoff, table)
     int_args = (ranked_lists, [None], [int(depth) for depth in depths], int(cutoff), table)
-    analysis._grids.clear()
     assert outcome(sensitivity_matrix, *args) == (DomainError, error)
     assert outcome(sensitivity_matrix, *int_args) == outcome(per_cell_reports, *int_args)
-    assert len(analysis._grids) == 1
     assert outcome(sensitivity_matrix, *args) == (DomainError, error)
-    assert len(analysis._grids) == 1
 
 
 def test_a_grid_whose_call_raised_is_not_kept(table, regimes, ranked_lists, monkeypatch):
@@ -480,89 +440,17 @@ def test_a_grid_whose_call_raised_is_not_kept(table, regimes, ranked_lists, monk
             raise DomainError("weighted share failed")
         return share(table, cutoff_year, regime=regime)
 
-    analysis._grids.clear()
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "cumulative_proportion", failing)
         for _ in range(2):
             assert outcome(sensitivity_matrix, *args) == (DomainError, "weighted share failed")
-    assert not analysis._grids
-    # the fault removed, the same objects build their grid
+    # the fault removed, the same objects give their reports
     assert outcome(sensitivity_matrix, *args) == expected
-    assert len(analysis._grids) == 1
     # a fault of the inputs themselves is raised on every call
     deep = (ranked_lists, [None], [26], 1950, table)
     assert outcome(per_cell_reports, *deep)[0] is DomainError
     for _ in range(2):
         assert outcome(sensitivity_matrix, *deep) == outcome(per_cell_reports, *deep)
-    assert len(analysis._grids) == 1
-
-
-def test_the_grid_past_the_bound_evicts_the_oldest(table, ranked_lists, grid_step_calls):
-    grids = [([ranked], [None], [depth], 1950, table)
-             for ranked in ranked_lists for depth in range(1, 10)]
-    grids = grids[:analysis._PARSED_LIMIT + 1]
-    analysis._grids.clear()
-    kept = [analysis._grid(*args) for args in grids]
-    assert len(analysis._grids) == analysis._PARSED_LIMIT
-    assert all(map(operator.is_, (entry[0] for entry in analysis._grids.values()), kept[1:]))
-    # the evicted first grid is built again, and evicts the second
-    grid_step_calls.clear()
-    rebuilt = analysis._grid(*grids[0])
-    assert rebuilt == kept[0] and rebuilt is not kept[0]
-    assert grid_step_calls["count_early"] == 1
-    assert analysis._grid(*grids[2]) is kept[2]
-    assert analysis._grid(*grids[1]) is not kept[1]
-
-
-def test_threads_building_grids_at_once_share_the_bounded_map(table, ranked_lists):
-    grids = [([ranked], [None], [depth], 1950, table)
-             for ranked in ranked_lists for depth in range(1, 11)]
-    assert len(grids) > analysis._PARSED_LIMIT
-    analysis._grids.clear()
-    expected = [analysis._grid(*args) for args in grids]
-    errors = []
-
-    def build_all(offset):
-        try:
-            for i in range(3 * len(grids)):
-                index = (i + offset) % len(grids)
-                assert analysis._grid(*grids[index]) == expected[index]
-                assert len(analysis._grids) <= analysis._PARSED_LIMIT
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build_all, args=(7 * n,)) for n in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-
-
-def test_reparsed_equal_inputs_miss_and_give_equal_keys(table, regimes, ranked_lists, tmp_path):
-    # a trailing blank line changes each file's bytes, so each is parsed
-    # again into new objects of equal content
-    for name in ("population", "weight_regimes", *DEFAULT_LIST_NAMES):
-        (tmp_path / f"{name}.csv").write_bytes(data_path(f"{name}.csv").read_bytes() + b"\n")
-    copies = (
-        [load_ranked_list(tmp_path / f"{name}.csv") for name in DEFAULT_LIST_NAMES],
-        list(load_weight_regimes(tmp_path / "weight_regimes.csv").values()),
-        load_population_table(tmp_path / "population.csv"),
-    )
-    assert not any(map(operator.is_, copies[0], ranked_lists))
-    assert not any(map(operator.is_, copies[1], regimes.values()))
-    assert copies[2] is not table and copies[2] == table
-    analysis._grids.clear()
-    keys = analysis._grid(ranked_lists, list(regimes.values()), [10, 25], 1950, table)
-    copied = analysis._grid(copies[0], copies[1], [10, 25], 1950, copies[2])
-    assert copied == keys and copied is not keys
-    assert len(analysis._grids) == 2
 
 
 def reference_check_span(ranked, table):

@@ -9,18 +9,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import (
-    DomainError, analysis, cli, detrend_career, formatting, load_season_stats, sensitivity_matrix,
-)
+from eragreats import cli, detrend_career, formatting, load_season_stats
 from eragreats.analysis import OverrepReport
-from eragreats.defaults import (
-    DEFAULT_CUTOFF_YEAR, DEFAULT_DEPTHS, DEFAULT_POOL_CUTOFF_YEAR, data_path,
-)
+from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_POOL_CUTOFF_YEAR, data_path
+from eragreats.population import _PARSED_LIMIT
 from eragreats.tailprob import Chance
 from oracles import (
     exact_binomial_tail_as_double,
@@ -334,51 +332,31 @@ SHARE_OR_TAIL = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0, 1).map(abs)
 
 @st.composite
 def report_grids(draw):
-    """The step keys of a multi-step grid, the reports of each key and
-    whether a ``regime`` column leads, with few distinct texts, shares and
-    tails repeated over the rows, as in a grid.  As in a ``_reports``
-    step, the key's depth, share and regime name are every row's."""
+    """The reports of a grid and whether a ``regime`` column leads, with
+    few distinct texts, shares and tails repeated over the rows, as in a
+    grid."""
     texts = st.sampled_from(draw(st.lists(JSON_TEXT, min_size=1, max_size=4)))
     shares = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=3)))
     tails = st.sampled_from(draw(st.lists(SHARE_OR_TAIL, min_size=1, max_size=4)))
     regime = draw(st.booleans())
     names = texts if regime else st.none() | texts
-    sources = tuple(draw(st.lists(texts, min_size=1, max_size=4)))
-    keys, steps = [], {}
-    for _ in range(draw(st.integers(1, 5))):
-        depth, share, name = draw(st.integers()), draw(shares), draw(names)
-        counts = tuple(draw(st.integers()) for _ in sources)
-        key = (sources, depth, counts, share, name)
-        keys.append(key)
-        if key not in steps:
-            row_tails = [draw(tails) for _ in sources]
-            steps[key] = tuple(
-                OverrepReport(source, depth, k, share, tail, Chance(tail, draw(texts)), name)
-                for source, k, tail in zip(sources, counts, row_tails)
-            )
-    return keys, steps, regime
+    reports = []
+    for _ in range(draw(st.integers(1, 12))):
+        tail = draw(tails)
+        reports.append(OverrepReport(
+            draw(texts), draw(st.integers()), draw(st.integers()), draw(shares), tail,
+            Chance(tail, draw(texts)), draw(names)))
+    return reports, regime
 
 
 @settings(max_examples=300)
 @given(report_grids())
 def test_report_rows_render_as_the_reference(grid):
-    # the per-step path the report commands take, built cold and then
-    # kept, on the reports of each key
-    keys, steps, regime = grid
-    reports = [report for key in keys for report in steps[key]]
-    analysis._grids.clear()
-    cli._step_text.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_reports", lambda *key: steps[key])
-            for _ in range(2):
-                for fmt in cli.FORMATS:
-                    assert cli._emit_reports(keys, fmt, regime) == reference_report_text(
-                        reports, fmt, regime), fmt
-    finally:
-        # the texts of these made-up steps must not outlive the test
-        analysis._grids.clear()
-        cli._step_text.cache_clear()
+    # the rendering the report commands run on a miss
+    reports, regime = grid
+    for fmt in cli.FORMATS:
+        assert cli._emit(cli._report_rows(reports, regime), fmt) == reference_report_text(
+            reports, fmt, regime), fmt
 
 
 @pytest.fixture
@@ -399,37 +377,8 @@ def formatter_calls(monkeypatch):
     return calls
 
 
-def test_report_renderer_formats_each_distinct_value_once(
-    table, regimes, ranked_lists, formatter_calls
-):
-    # the bundled sensitivity grid repeats its shares and some of its tails;
-    # built cold, each step formats its one share once and each distinct
-    # tail of its rows once
-    keys = analysis._grid(
-        ranked_lists, list(regimes.values()), DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table
-    )
-    steps = [analysis._reports(*key) for key in keys]
-    expected = {
-        "format_proportion": sorted(key[3] for key in keys),
-        "format_probability": sorted(
-            tail for step in steps for tail in {r.tail_probability for r in step}),
-    }
-    assert {name: len(values) for name, values in expected.items()} == {
-        "format_proportion": 8, "format_probability": 24}
-    assert sum(map(len, steps)) == 32
-    for fmt in ("table", "csv"):
-        analysis._grids.clear()
-        analysis._reports.cache_clear()
-        cli._step_text.cache_clear()
-        for values in formatter_calls.values():
-            values.clear()
-        code, stdout, _ = run_main(["sensitivity", "--format", fmt])
-        assert (code, stdout.encode()) == (0, (GOLDEN / f"sensitivity.{fmt}").read_bytes())
-        assert {name: sorted(values) for name, values in formatter_calls.items()} == expected
-
-
 def test_kept_report_text_formats_no_value(formatter_calls):
-    # a warm report command renders from kept step text alone
+    # a warm report command prints its kept text alone
     for command in ("analyze", "sensitivity", "bridge"):
         for fmt in ("table", "csv"):
             argv = [command, "--format", fmt]
@@ -441,42 +390,124 @@ def test_kept_report_text_formats_no_value(formatter_calls):
             assert formatter_calls == {"format_proportion": [], "format_probability": []}
 
 
-def test_report_text_past_the_bound_is_still_correct(table):
-    # one bridge pair is one kept step: more distinct pairs than the bound
-    # evict the first ones, which a second call must render again
-    pairs = [(n, k) for n in range(1, 40) for k in range(n + 1)][:cli._REPORTS_LIMIT + 40]
-    reports = per_pair_bridge(pairs, DEFAULT_POOL_CUTOFF_YEAR, DEFAULT_CUTOFF_YEAR, table)
-    counts = ",".join(f"{n}:{k}" for n, k in pairs)
-    for fmt in cli.FORMATS:
-        expected = (0, reference_report_text(reports, fmt), "")
-        analysis._grids.clear()
-        cli._step_text.cache_clear()
-        assert run_main(["bridge", "--counts", counts, "--format", fmt]) == expected
-        assert cli._step_text.cache_info().currsize == cli._REPORTS_LIMIT
-        assert run_main(["bridge", "--counts", counts, "--format", fmt]) == expected
+@pytest.fixture
+def kept_texts(monkeypatch):
+    """An empty map of kept report texts for the test, the process's own
+    left as it was."""
+    texts = {}
+    monkeypatch.setattr(cli, "_texts", texts)
+    return texts
 
 
-def test_report_text_keeps_no_error(table, ranked_lists, monkeypatch):
-    # a step whose rendering fails is rendered afresh on the next call
-    keys = analysis._grid(ranked_lists, [None], DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table)
-    reports = sensitivity_matrix(ranked_lists, [None], DEFAULT_DEPTHS, DEFAULT_CUTOFF_YEAR, table)
+def bundled_lists(*names):
+    return [arg for name in names for arg in ("--list", str(data_path(f"{name}.csv")))]
 
+
+@pytest.mark.parametrize("first, second", [
+    (["analyze"], ["analyze", "--cutoff", "1940"]),
+    (["analyze"], ["analyze", "--depths", "10"]),
+    (["sensitivity"], ["sensitivity", "--format", "csv"]),
+    (["analyze", "--regime", "w2"], ["analyze", "--regime", "w3"]),
+    (["bridge"], ["bridge", "--counts", "10:5"]),
+    (["bridge"], ["bridge", "--pool-cutoff", "2010"]),
+    (["analyze", *bundled_lists("espn", "bwar")], ["analyze", *bundled_lists("bwar", "espn")]),
+], ids=["cutoff", "depths", "format", "regime", "counts", "pool-cutoff", "list-order"])
+def test_a_command_that_differs_in_one_argument_prints_its_own_text(kept_texts, first, second):
+    # the first command's text is kept; the second must not be served it
+    fresh = run_cli(*second)
+    assert fresh.returncode == 0
+    assert run_main(first)[1] != fresh.stdout
+    assert run_main(second) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert len(kept_texts) == 2
+
+
+def test_an_input_rewritten_in_place_prints_the_new_result(kept_texts, tmp_path):
+    path = tmp_path / "mine.csv"
+    argv = ["analyze", "--list", str(path), "--format", "csv"]
+    outputs = []
+    for name in ("espn", "ranker"):
+        path.write_bytes(data_path(f"{name}.csv").read_bytes())
+        fresh = run_cli(*argv)
+        assert run_main(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        outputs.append(fresh.stdout)
+    assert outputs[0] != outputs[1]
+
+
+def bridge_commands():
+    """33 distinct one-pair bridge commands, one more than the bound, and
+    the reports of each."""
+    return [
+        (["bridge", "--counts", f"10:{k}", "--format", fmt], [(10, k)])
+        for k in range(11) for fmt in cli.FORMATS
+    ]
+
+
+def test_report_text_past_the_bound_evicts_the_oldest(kept_texts, table):
+    commands = bridge_commands()
+    assert len(commands) == _PARSED_LIMIT + 1
+    expected = [
+        (0, reference_report_text(
+            per_pair_bridge(pairs, DEFAULT_POOL_CUTOFF_YEAR, DEFAULT_CUTOFF_YEAR, table),
+            argv[-1]), "")
+        for argv, pairs in commands
+    ]
+    assert len({stdout for _, stdout, _ in expected}) == len(commands)
+    for (argv, _), output in zip(commands, expected):
+        assert run_main(argv) == output
+    kept = [text for text, _ in kept_texts.values()]
+    assert kept == [stdout for _, stdout, _ in expected[1:]]
+    # the evicted first command is rendered again, and evicts the second
+    assert run_main(commands[0][0]) == expected[0]
+    kept = [text for text, _ in kept_texts.values()]
+    assert kept == [stdout for _, stdout, _ in expected[2:] + expected[:1]]
+
+
+def test_threads_running_commands_at_once_share_the_bounded_map(kept_texts):
+    commands = [cli.build_parser().parse_args(argv) for argv, _ in bridge_commands()]
+    assert len(commands) > _PARSED_LIMIT
+    expected = [args.handler(args) for args in commands]
+    errors = []
+
+    def run_all(offset):
+        try:
+            for i in range(3 * len(commands)):
+                index = (i + offset) % len(commands)
+                assert commands[index].handler(commands[index]) == expected[index]
+                assert len(kept_texts) <= _PARSED_LIMIT
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run_all, args=(7 * n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_report_text_keeps_no_error(kept_texts, monkeypatch):
+    # a command whose rendering fails is rendered afresh on the next run
     def failing(value):
         raise RuntimeError("formatter failed")
 
-    analysis._grids.clear()
-    cli._step_text.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(cli, "format_probability", failing)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="formatter failed"):
-                cli._emit_reports(keys, "csv", False)
-    # a key no caller would pass raises from its report step, every time
+                run_main(["analyze", "--format", "csv"])
+    # a fault of the inputs is refused on every run
     for _ in range(2):
-        with pytest.raises(DomainError, match="1001"):
-            cli._step_text((("x",), 1001, (3,), 0.5, None), "json", False)
-    assert cli._step_text.cache_info().currsize == 0
-    assert cli._emit_reports(keys, "csv", False) == reference_report_text(reports, "csv")
+        code, stdout, stderr = run_main(["analyze", "--depths", "26"])
+        assert (code, stdout) == (4, "") and "26" in stderr
+    assert not kept_texts
+    assert run_main(["analyze", "--format", "csv"]) == (0, ANALYZE_CSV, "")
+    assert len(kept_texts) == 1
 
 
 def test_one_process_runs_many_commands_as_fresh_ones():
@@ -648,7 +679,7 @@ def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
         per_cell_reports(*args)
         raise AssertionError("the per-cell loop found no fault")
 
-    monkeypatch.setattr(cli, "_grid", per_cell_grid)
+    monkeypatch.setattr(cli, "sensitivity_matrix", per_cell_grid)
     assert grid == [run_main(argv) for argv in invocations]
     assert {code for code, _, _ in grid} == {3, 4}
     assert all(stdout == "" for _, stdout, _ in grid)

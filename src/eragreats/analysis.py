@@ -6,18 +6,18 @@ share of the all-time eligible pool that existed by then, and ask how
 surprising that count would be if greatness were spread evenly over the
 pool (an exact binomial tail).
 
-Nothing is kept between calls: each call checks its inputs and takes its
-tails afresh, one ``binomial_tail`` per distinct (depth, count, share).
-The command line keeps each report command's output text (see ``cli``).
+Nothing is kept between calls: a grid is the loop over its cells, each
+cell checking its list's span, counting its early players and taking its
+tail, and each call takes one ``binomial_tail`` per distinct (depth,
+count, share).  The command line keeps each report command's output text
+(see ``cli``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DomainError
 from .population import (
@@ -56,11 +56,6 @@ class OverrepReport:
 
 def _check_span(ranked: RankedList, table: PopulationTable) -> None:
     first, final = table.first_year, table.final_year
-    years = ranked.start_years
-    # ``first < year <= final`` for every year, in C; operator.lt and
-    # operator.le compare as the chained comparison does, for every type
-    if all(map(operator.lt, repeat(first), years)) and all(map(operator.le, years, repeat(final))):
-        return
     for entry in ranked.entries:
         if not first < entry.career_start_year <= final:
             raise DomainError(
@@ -77,10 +72,10 @@ def _chance(probability: float) -> Chance:
 
 
 def _report(source, depth, count, proportion, regime, chances) -> OverrepReport:
-    """The report of one (source, count) with checked tail arguments.
-    ``chances`` maps each (depth, count, share) already seen in the call
-    to its ``Chance``, so each distinct one is one ``binomial_tail`` call;
-    a share is never NaN, so equal keys are equal shares."""
+    """The report of one (source, count).  ``chances`` maps each (depth,
+    count, share) already seen in the call to its ``Chance``, so each
+    distinct one is one ``binomial_tail`` call, which checks its
+    arguments; a share is never NaN, so equal keys are equal shares."""
     key = depth, count, proportion
     chance = chances.get(key)
     if chance is None:
@@ -106,9 +101,9 @@ def analyze(
 
 
 def sensitivity_matrix(
-    lists: Sequence[RankedList],
-    regimes: Sequence[WeightRegime | None],
-    depths: Sequence[int],
+    lists: Iterable[RankedList],
+    regimes: Iterable[WeightRegime | None],
+    depths: Iterable[int],
     cutoff_year: int,
     table: PopulationTable,
 ) -> list[OverrepReport]:
@@ -118,46 +113,36 @@ def sensitivity_matrix(
     order, then lists in the given order.  A ``None`` regime gives the
     unweighted reports.
 
-    Each cell needs its list's span check, its regime's share and its
-    (list, depth) early count, in that order, each count followed by its
-    tail's argument check.  The first regime's cells run them in that
-    order, so the first error is the one checking every cell afresh would
-    raise.  After that only a share can fail, as every share lies in
-    [0, 1]: a later regime is one share, with the first regime's counts.
-    Each distinct (depth, count, share) of the call is one tail.
+    The cells run in that order, each checking its list's span, then
+    taking its regime's share (once per regime, at its first cell), then
+    counting its early players, then taking its tail, so the first error
+    is the first faulty cell's.  Each distinct (depth, count, share) of
+    the call is one tail.
     """
+    lists, regimes, depths = tuple(lists), tuple(regimes), tuple(depths)
     if not lists:
         raise DomainError("sensitivity analysis needs at least one ranked list")
     if not regimes:
         raise DomainError("sensitivity analysis needs at least one weight regime")
     if not depths:
         raise DomainError("sensitivity analysis needs at least one depth")
-    grid = []
-    for position, depth in enumerate(depths):
-        counts = []
-        for i, ranked in enumerate(lists):
-            if not position:
-                _check_span(ranked, table)
-                if not i:
-                    proportion = cumulative_proportion(table, cutoff_year, regime=regimes[0])
-            counts.append(count_early(ranked, depth, cutoff_year))
-            _check_tail_args(depth, counts[-1], proportion)
-        grid.append((depth, counts))
     chances = {}
     reports = []
-    for index, regime in enumerate(regimes):
-        if index:
-            proportion = cumulative_proportion(table, cutoff_year, regime=regime)
+    for regime in regimes:
         name = None if regime is None else regime.name
-        reports += [
-            _report(ranked.source, depth, k, proportion, name, chances)
-            for depth, counts in grid for ranked, k in zip(lists, counts)
-        ]
+        proportion = None
+        for depth in depths:
+            for ranked in lists:
+                _check_span(ranked, table)
+                if proportion is None:
+                    proportion = cumulative_proportion(table, cutoff_year, regime=regime)
+                count = count_early(ranked, depth, cutoff_year)
+                reports.append(_report(ranked.source, depth, count, proportion, name, chances))
     return reports
 
 
 def bridge_check(
-    counts: Sequence[tuple[int, int]],
+    counts: Iterable[tuple[int, int]],
     pool_cutoff_year: int,
     era_cutoff_year: int,
     table: PopulationTable,
@@ -175,10 +160,10 @@ def bridge_check(
         raise DomainError(
             f"era cutoff {era_cutoff_year} must not exceed pool cutoff {pool_cutoff_year}"
         )
+    counts = tuple(counts)
     if not counts:
         raise DomainError("bridge check needs at least one (depth, count) pair")
-    era, _ = _exact_population(table, era_cutoff_year)
-    pool, _ = _exact_population(table, pool_cutoff_year)
+    era, pool, _ = _exact_population(table, None, era_cutoff_year, pool_cutoff_year)
     proportion = era / pool
     for depth, early in counts:
         _check_tail_args(depth, early, proportion)

@@ -11,7 +11,8 @@ Interest weighting scales each period's population by a regime weight in
 both the numerator and the denominator, which models era-dependent talent
 pull without changing the total-share normalization.  The share functions
 take the regime as an optional ``regime=`` argument.  Every total is exact
-(``_exact_population``), so every share is correctly rounded.
+(``_exact_population``), so every share is correctly rounded; nothing of
+a total is kept between calls.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
@@ -25,13 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import os
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -78,8 +76,6 @@ class PopulationTable:
         if not self.records:
             raise DataError("population table must contain at least one period")
         years = self.years
-        # ``_exact_population``'s prefix sums per weight set (None: unweighted)
-        object.__setattr__(self, "_sums", {})
         if list(years) != sorted(set(years)):
             raise DataError("population periods must have strictly increasing end years")
         for prev, cur in zip(self.records, self.records[1:]):
@@ -126,8 +122,6 @@ class WeightRegime:
                     f"regime {self.name!r} has weight {w!r} for {year}, "
                     f"expected a value in [0, 1]"
                 )
-        # keys its prefix sums on a table: a frozenset keeps its own hash
-        object.__setattr__(self, "_items", frozenset(self.weights.items()))
 
 
 def _check_weight_years(table: PopulationTable, regime: WeightRegime) -> None:
@@ -148,51 +142,48 @@ _DOUBLE_OVERFLOW = (1 << 1024) - (1 << 970)
 
 
 def _exact_population(
-    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
-) -> tuple[int, int]:
-    """(exact total through ``cutoff_year``, scale): two totals of one
-    table and regime share the scale, so they divide exactly.  A total past
-    the largest double is a DomainError.
+    table: PopulationTable, regime: WeightRegime | None, *cutoff_years: int
+) -> tuple[int, ...]:
+    """(exact total through each of ``cutoff_years``, in order, then the
+    scale): the totals share the scale, so any two divide exactly.  Each
+    cutoff is checked, then its total; a total past the largest double is a
+    DomainError.
 
     A term, population times weight, is an integer over a power of two for
     doubles.  Over the terms' common denominator times 2520, the lcm of
-    1..10, every term and its per-year part are integers.  Their prefix
-    sums are kept on the table per weight set, for as many sets as the
-    parse cache keeps files, the oldest going first.  The weight years are
-    checked only when an entry is built: a kept one passed already.
+    1..10, every term and its per-year part are integers.  They are built
+    once per call, after the first cutoff passes its check, and the weight
+    years are checked then.  A total is each period's per-year part times
+    its years through the cutoff, summed.
     """
-    if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
-        raise DomainError(f"cutoff year must be an integer, got {cutoff_year!r}")
-    if not table.first_year < cutoff_year <= table.final_year:
-        raise DomainError(
-            f"cutoff year {cutoff_year} is outside the covered span "
-            f"({table.first_year}, {table.final_year}]"
-        )
-    key = None if regime is None else regime._items
-    sums = table._sums.get(key)
-    if sums is None:
-        terms = [rec.population.as_integer_ratio() for rec in table.records]
-        if regime is not None:
-            _check_weight_years(table, regime)
-            weights = [regime.weights[year].as_integer_ratio() for year in table.years]
-            terms = [(p * w, q * v) for (p, q), (w, v) in zip(terms, weights)]
-        common = math.lcm(*(q for _, q in terms))
-        lengths = [rec.period_length_years for rec in table.records]
-        per_year = [p * (common // q) * (2520 // n) for (p, q), n in zip(terms, lengths)]
-        sums = [0, *accumulate(map(operator.mul, per_year, lengths))], per_year, 2520 * common
-        _keep(table._sums, key, sums)
-    prefix, per_year, scale = sums
-    # periods are ordered and do not overlap: the ones that end by the
-    # cutoff are a prefix, and only the next one can be split
-    end = bisect_right(table.years, cutoff_year)
-    total = prefix[end]
-    if end < len(per_year):
-        start = table.records[end].period_start_year
-        if start < cutoff_year:
-            total += per_year[end] * (cutoff_year - start)
-    if total >= _DOUBLE_OVERFLOW * scale:
-        raise DomainError(f"population total through {cutoff_year} overflows a double")
-    return total, scale
+    totals = []
+    for cutoff_year in cutoff_years:
+        if not isinstance(cutoff_year, int) or isinstance(cutoff_year, bool):
+            raise DomainError(f"cutoff year must be an integer, got {cutoff_year!r}")
+        if not table.first_year < cutoff_year <= table.final_year:
+            raise DomainError(
+                f"cutoff year {cutoff_year} is outside the covered span "
+                f"({table.first_year}, {table.final_year}]"
+            )
+        if not totals:
+            terms = [rec.population.as_integer_ratio() for rec in table.records]
+            if regime is not None:
+                _check_weight_years(table, regime)
+                weights = [regime.weights[year].as_integer_ratio() for year in table.years]
+                terms = [(p * w, q * v) for (p, q), (w, v) in zip(terms, weights)]
+            common = math.lcm(*(q for _, q in terms))
+            per_year = [p * (common // q) * (2520 // rec.period_length_years)
+                        for (p, q), rec in zip(terms, table.records)]
+            scale = 2520 * common
+        # a period ending by the cutoff counts in full, one straddling it
+        # pro rata, and a later one not at all
+        total = sum(part * (min(rec.period_end_year, cutoff_year) - rec.period_start_year)
+                    for part, rec in zip(per_year, table.records)
+                    if rec.period_start_year < cutoff_year)
+        if total >= _DOUBLE_OVERFLOW * scale:
+            raise DomainError(f"population total through {cutoff_year} overflows a double")
+        totals.append(total)
+    return (*totals, scale)
 
 
 def cumulative_population(
@@ -201,7 +192,7 @@ def cumulative_population(
     """Eligible population (millions) that existed through ``cutoff_year``,
     each period scaled by its ``regime`` weight when one is given, summed
     exactly and rounded once."""
-    total, scale = _exact_population(table, cutoff_year, regime)
+    total, scale = _exact_population(table, regime, cutoff_year)
     return total / scale
 
 
@@ -215,8 +206,7 @@ def cumulative_proportion(
     unweighted share.  Both totals are exact, so the share is their ratio
     correctly rounded, and exactly 1.0 at the table's final year.
     """
-    numerator, _ = _exact_population(table, cutoff_year, regime)
-    denominator, _ = _exact_population(table, table.final_year, regime)
+    numerator, denominator, _ = _exact_population(table, regime, cutoff_year, table.final_year)
     if not denominator:
         raise DomainError(f"regime {regime.name!r} gives the whole table zero weight")
     return numerator / denominator

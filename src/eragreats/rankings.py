@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 from .errors import DataError, DomainError
@@ -51,11 +48,6 @@ class RankedList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @cached_property
-    def start_years(self) -> tuple[int, ...]:
-        """Career start years in rank order, built once per list."""
-        return tuple(e.career_start_year for e in self.entries)
-
 
 def count_early(ranked: RankedList, depth: int, cutoff_year: int) -> int:
     """Number of the top ``depth`` players whose careers started in or
@@ -67,11 +59,7 @@ def count_early(ranked: RankedList, depth: int, cutoff_year: int) -> int:
         raise DomainError(
             f"depth must be in [1, {len(ranked)}] for list {ranked.source!r}, got {depth}"
         )
-    # ``year <= cutoff_year`` per year, counted in C: operator.le compares
-    # as ``<=`` does for every type (``cutoff_year.__ge__`` may return a
-    # truthy NotImplemented), and countOf returns an int where a sum of
-    # numpy bools would not be one
-    return operator.countOf(map(operator.le, ranked.start_years[:depth], repeat(cutoff_year)), True)
+    return sum(1 for e in ranked.entries[:depth] if e.career_start_year <= cutoff_year)
 
 
 def load_ranked_list(path) -> RankedList:

@@ -101,6 +101,24 @@ def test_sensitivity_rejects_empty_axes(table, regimes, ranked_lists):
         sensitivity_matrix(ranked_lists, [regimes["w1"]], (), 1950, table)
 
 
+@pytest.mark.parametrize("case", ["lists", "regimes", "depths", "no depths", "counts", "no counts"])
+def test_an_iterator_argument_gives_the_list_forms_outcome(table, regimes, ranked_lists, case):
+    # each axis is read once, before its emptiness check
+    grid = [ranked_lists, [None, regimes["w1"]], [10, 25], 1950, table]
+    bridge = [[(10, 6), (25, 10)], 1999, 1950, table]
+    evaluate, args, position = {
+        "lists": (sensitivity_matrix, grid, 0),
+        "regimes": (sensitivity_matrix, grid, 1),
+        "depths": (sensitivity_matrix, grid, 2),
+        "no depths": (sensitivity_matrix, [*grid[:2], [], *grid[3:]], 2),
+        "counts": (bridge_check, bridge, 0),
+        "no counts": (bridge_check, [[], *bridge[1:]], 0),
+    }[case]
+    expected = outcome(evaluate, *args)
+    args[position] = iter(args[position])
+    assert outcome(evaluate, *args) == expected
+
+
 def test_reports_are_self_consistent(table, regimes, ranked_lists):
     reports = sensitivity_matrix(
         ranked_lists, list(regimes.values()), (10, 25), 1950, table
@@ -337,7 +355,7 @@ def grid_step_calls(monkeypatch):
             return step(*args, **kwargs)
         return counted
 
-    for name in ("_check_span", "cumulative_proportion", "count_early", "_check_tail_args"):
+    for name in ("_check_span", "cumulative_proportion", "count_early"):
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     return calls
 
@@ -346,7 +364,7 @@ def test_grid_and_bridge_match_their_oracles_cold_and_warm(
     table, regimes, ranked_lists, monkeypatch, grid_step_calls
 ):
     # nothing is kept between calls: every call takes one tail per distinct
-    # (depth, count, share) and the grid runs each of its checks once;
+    # (depth, count, share), and the grid checks and counts every cell;
     # analysis looks binomial_tail up as a module global, which is also
     # what the benchmark tracer wraps
     calls = []
@@ -369,9 +387,10 @@ def test_grid_and_bridge_match_their_oracles_cold_and_warm(
             assert outcome(evaluate, *args) == expected
             assert sorted(calls) == sorted(set(tails))
             if evaluate is sensitivity_matrix:
-                # 4 spans, 3 shares, then 2 depths x 4 lists of counts and tail checks
-                assert grid_step_calls == {"_check_span": 4, "cumulative_proportion": 3,
-                                           "count_early": 8, "_check_tail_args": 8}
+                # 3 regimes x 2 depths x 4 lists of spans and counts, one share
+                # per regime
+                assert grid_step_calls == {"_check_span": 24, "cumulative_proportion": 3,
+                                           "count_early": 24}
     # every grid group mixes distinct counts, some of them repeated
     groups = {}
     for _, depth, count, share, *_ in outcome(per_cell_reports, *grid):

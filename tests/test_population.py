@@ -145,9 +145,9 @@ def test_all_zero_weights_are_rejected(table):
 
 
 def test_no_share_or_total_is_negative_zero(table, tmp_path):
-    # a report step is kept per share, and 0.0 and -0.0 are one key: a
-    # share must never be -0.0, even when every weight through the cutoff
-    # is written as one
+    # a report call takes one tail per distinct share, and 0.0 and -0.0
+    # are one key: a share must never be -0.0, even when every weight
+    # through the cutoff is written as one
     path = tmp_path / "zeros.csv"
     rows = ["year,neg_float,neg_int,zero"]
     rows += [f"{year},-0.0,-0,0" if year <= 1950 else f"{year},0.5,0.5,0.5"
@@ -188,6 +188,26 @@ def test_a_total_overflows_exactly_where_it_rounds_past_the_largest_double():
         for share in (cumulative_population, cumulative_proportion):
             with pytest.raises(DomainError, match="population total through 1890 overflows"):
                 share(table, 1890)
+
+
+def test_each_cutoff_is_checked_and_totalled_before_the_next():
+    # a call builds its terms once, after the first cutoff passes its span
+    # check: a span error comes before a weight-year error, and an era
+    # total that overflows before a pool cutoff past the table
+    table = PopulationTable((PopulationRecord(1880, 1.5e308), PopulationRecord(1890, 1.5e308)))
+    short = WeightRegime("short", {1880: 1.0})
+    span = r"^cutoff year 1900 is outside the covered span \(1870, 1890\]$"
+    with pytest.raises(DomainError, match=span):
+        cumulative_proportion(table, 1900, short)
+    with pytest.raises(DataError, match=r"missing weights for \[1890\]$"):
+        cumulative_proportion(table, 1880, short)
+    with pytest.raises(DomainError, match="^population total through 1890 overflows a double$"):
+        cumulative_proportion(table, 1880)
+    for era in (1885, 1890):
+        with pytest.raises(DomainError, match=f"^population total through {era} overflows a double$"):
+            bridge_check([(10, 6)], 1900, era, table)
+    with pytest.raises(DomainError, match=span):
+        bridge_check([(10, 6)], 1900, 1880, table)
 
 
 # ------------------------------------------------------- property tests
@@ -291,8 +311,7 @@ def _share_outcome(share, *args):
 @settings(max_examples=400)
 @given(shares())
 def test_shares_are_the_correctly_rounded_exact_shares(case):
-    # twice each: the first call builds the table's prefix sums for the
-    # regime's weights, the second reads them back (an error keeps none)
+    # twice each: a call keeps nothing, so the second gives the first's outcome
     table, cutoff, regime = case
     for share, exact in ((cumulative_population, exact_cumulative_population),
                          (cumulative_proportion, exact_cumulative_proportion)):
@@ -301,20 +320,17 @@ def test_shares_are_the_correctly_rounded_exact_shares(case):
             assert _share_outcome(share, table, cutoff, regime) == expected
 
 
-def test_prefix_sums_are_kept_per_table_and_weight_set(table, regimes):
+def test_weight_sets_are_checked_per_table_and_give_exact_shares(table, regimes):
     w1 = regimes["w1"]
-    # a regime of another name with equal weights reads the same entry
+    # a regime of another name with equal weights gives the same share
     twin = WeightRegime("twin", dict(w1.weights))
     assert cumulative_proportion(table, 1950, w1) == cumulative_proportion(table, 1950, twin)
-    assert table._sums[w1._items] is table._sums[twin._items]
     # weights that passed against one table are checked again against another
     shorter = PopulationTable(table.records[:-1])
     for _ in range(2):
         with pytest.raises(DataError, match=r"weights for unknown years \[2015\]"):
             cumulative_proportion(shorter, 1950, twin)
-    assert not shorter._sums
-    # past the bound the oldest weight set goes first, and every share is
-    # still the exact one
+    # more weight sets than any kept map holds still give the exact shares
     limit = population._PARSED_LIMIT
     scaled = [WeightRegime(f"s{i}", {year: (i + 1) / (limit + 10) for year in table.years})
               for i in range(limit + 5)]
@@ -322,13 +338,11 @@ def test_prefix_sums_are_kept_per_table_and_weight_set(table, regimes):
         for regime in scaled:
             assert cumulative_proportion(table, 1999, regime) == exact_cumulative_proportion(
                 table, 1999, regime)
-            assert len(table._sums) <= limit
-    assert list(table._sums)[-1] == scaled[-1]._items
 
 
 def test_threads_sharing_a_table_get_the_exact_shares():
     # more threads than cores and a short switch interval, each thread
-    # building and reading weight sets past the bound on one table
+    # taking shares of more weight sets than any kept map holds on one table
     table = PopulationTable(tuple(
         PopulationRecord(1900 + 10 * i, 1.0 + i / 7, 10) for i in range(1, 20)))
     regimes = [WeightRegime(f"r{i}", {year: ((i * year) % 97) / 97 + 0.01 for year in table.years})
@@ -351,7 +365,6 @@ def test_threads_sharing_a_table_get_the_exact_shares():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected * 3] * 6
-    assert len(table._sums) <= population._PARSED_LIMIT
 
 
 # ------------------------------------------------------------ structure

@@ -11,7 +11,9 @@ is an integer over ``2**(e*n)``.  One of two paths gives the double:
   its first one is summed in P-bit integer fixed point under a proved
   error bound, and the double is returned as soon as both ends of that
   bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160, 320,
-  640;
+  640.  The first term comes from floored tables of ``m!`` and ``1/m!``,
+  built once per process on its first fixed-point tail, and truncated
+  powers;
 - **the exact side sum**: the shorter side of the tail is summed exactly
   by Horner's rule and divided once.  It runs first when that side has
   few terms of few bits, and last when even P = 640 cannot decide the
@@ -28,6 +30,7 @@ last digits away or overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +40,10 @@ from .formatting import half_up
 MAX_TRIALS = 1000
 
 # a tail at or under 2**-1075 rounds to 0.0 (ties to even); one more bit
-# absorbs the rounding of the logs that bound it
+# absorbs the rounding of the logs that bound it.  The coefficient's log
+# comes from the floored factorial tables, which lose under 2**-668 of
+# C(n, k): it lies under the exact log by less than 2**-600, so a tail it
+# cuts to 0.0 is still under 2**-1075
 _ZERO_EXP_BOUND = -1076.0
 # an exact side sum costs about (terms) * (bits per term); under this
 # product it is cheaper than a fixed-point pass
@@ -46,6 +52,9 @@ _EXACT_SUM_BITS = 4000
 # carry on top of P (the error bound in binomial_tail relies on 20)
 _PRECISIONS = (80, 160, 320, 640)
 _GUARD = 20
+# the factorial tables carry 20 bits more than the widest pass, so that all
+# their floors together lose under 2**-9 of one floor at a pass's width
+_TABLE_WIDTH = _PRECISIONS[-1] + _GUARD + 20
 
 
 @dataclass(frozen=True)
@@ -88,12 +97,20 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     most the exact one, tau_i, and the computed sum S is at most the
     exact one.  With W = P + 20 and ``delta = 2**(1 - W)``:
 
-    1. *Truncated powers.*  ``x**m`` is taken by squaring, the base and
-       each product floored to W bits; a floor keeps a factor in
-       ``(1 - delta, 1]``, and induction over the binary digits of m
-       counts at most 2m - 1 such factors.  C(n, f) is exact, and one
+    1. *Floored factors.*  A floor to w bits keeps a factor in
+       ``(1 - 2**(1 - w), 1]``.  ``x**m`` is taken by squaring, the base
+       and each product floored to W bits; induction over the binary
+       digits of m counts at most 2m - 1 such factors, 2n - 2 over the two
+       powers.  C(n, f) is the product of three entries of
+       ``_factorial_tables``, ``n!``, ``1/f!`` and ``1/(n - f)!``, each
+       floored once more to W bits: three floors.  An entry is at most its
+       exact value, under it by at most n (for ``n!``) or
+       ``MAX_TRIALS + 1 - m`` (for ``1/m!``) floors of
+       ``delta_T = 2**(1 - _TABLE_WIDTH)``, 2002 over the three; as
+       ``_TABLE_WIDTH >= W + 20``, ``2002 delta_T < 2**-9 delta``.  One
        more floor puts the first term in units, so
-       ``T_0 >= tau_0 (1 - eps_0) - 1`` with ``eps_0 <= 2 n delta``.
+       ``T_0 >= tau_0 (1 - eps_0) - 1`` with
+       ``eps_0 <= (2n + 1) delta + 2002 delta_T < (2n + 2) delta``.
     2. *The ratio.*  ``R = floor(x 2**Q / y) >= 2**(W-1)`` by the choice
        of Q, so R lies under ``x 2**Q / y`` by a factor ``1 - eta`` with
        ``eta < 1 / R <= delta``.  The loop never divides by y.
@@ -102,7 +119,8 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
        ``// (j + 1)`` is one floor; it exceeds ``T_i rho_j (1 - eta) - 1``
        and ``rho_j <= 1``, so by induction
        ``T_i >= tau_i (1 - rel) - (i + 1)`` with ``rel = eps_0 + n eta``.
-       As ``n < 2**10``, ``rel < 3 * 2**(11 - W) < 2**(-P - 7)``.
+       So ``rel < (3n + 2) delta``, and as ``3n + 2 <= 3002 < 3 * 2**10``,
+       ``rel < 3 * 2**(11 - W) < 2**(-P - 7)``.
     4. *Early stop.*  The sum stops at the first T_i that floors to 0, or
        after j = n.  A zero T_i gives ``tau_i <= (i + 1) / (1 - rel) <
        i + 2`` (as ``(i + 2) rel < 1`` for any P >= 3), and each of the
@@ -139,12 +157,17 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
         return 0.0
     upper = (n - k_min) * a <= (k_min + 1) * c
     first, x, y = (k_min, a, c) if upper else (n - k_min + 1, c, a)
-    coeff = math.comb(n, first)
-    # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min
-    if upper and math.log2(coeff) + k_min * log2_p < _ZERO_EXP_BOUND:
-        return 0.0
+    if upper:
+        # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min, C(n, k_min)
+        # floored to n! / k_min! / (n - k_min)! from the tables
+        factorials, reciprocals = _factorial_tables()
+        (f, f_exp), (g, g_exp) = factorials[n], reciprocals[k_min]
+        h, h_exp = reciprocals[n - k_min]
+        log2_coeff = math.log2(f) + math.log2(g) + math.log2(h) + (f_exp + g_exp + h_exp)
+        if log2_coeff + k_min * log2_p < _ZERO_EXP_BOUND:
+            return 0.0
     for precision in _PRECISIONS:
-        total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
+        total, error, scale = _fixed_sum(n, first, x, y, e, precision, upper)
         if upper:
             low, high = total, total + error
         else:
@@ -193,21 +216,32 @@ def _exact_side(n: int, k_min: int, a: int, c: int, bits: int) -> float:
 
 
 def _fixed_sum(
-    n: int, first: int, coeff: int, x: int, y: int, e: int, precision: int, relative: bool
+    n: int, first: int, x: int, y: int, e: int, precision: int, relative: bool
 ) -> tuple[int, int, int]:
     """``(S, E, F)``: the side ``sum_{j >= first} C(n, j) x**j y**(n-j) / 2**(e*n)``
     lies in ``[S, S + E] / 2**F``.
 
-    ``coeff`` is C(n, first), and the ratio of successive terms must be at
-    most 1 from ``first`` on.  F puts the first term at ``precision + 1``
-    bits when ``relative``, and is ``precision + 2`` otherwise.  See
-    ``binomial_tail`` for the proof of the bound.
+    The ratio of successive terms must be at most 1 from ``first`` on.  The
+    first term is ``n! / first! / (n - first)!`` from the floored factorial
+    tables times the truncated powers, every factor floored to the pass's
+    width.  F puts the first term at ``precision + 1`` bits when
+    ``relative``, and is ``precision + 2`` otherwise.  See ``binomial_tail``
+    for the proof of the bound.
     """
     width = precision + _GUARD
+    factorials, reciprocals = _factorial_tables()
+    head, exponent = 1, -e * n
+    for bits, exp in (factorials[n], reciprocals[first], reciprocals[n - first]):
+        excess = bits.bit_length() - width
+        if excess > 0:
+            bits >>= excess
+            exp += excess
+        head *= bits
+        exponent += exp
     x_bits, x_exp = _floored_power(x, first, width)
     y_bits, y_exp = _floored_power(y, n - first, width)
-    head = coeff * x_bits * y_bits
-    exponent = x_exp + y_exp - e * n
+    head *= x_bits * y_bits
+    exponent += x_exp + y_exp
     scale = precision + 1 - head.bit_length() - exponent if relative else precision + 2
     shift = exponent + scale
     term = head << shift if shift >= 0 else head >> -shift
@@ -227,6 +261,39 @@ def _fixed_sum(
     if not term:
         error += (n - j + 1) * (i + 2)
     return total, error, scale
+
+
+@functools.cache
+def _factorial_tables() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """``(factorials, reciprocals)``: for m in [0, MAX_TRIALS],
+    ``factorials[m]`` is ``(b, s)`` with ``b * 2**s`` in
+    ``[m! (1 - m delta_T), m!]`` and ``reciprocals[m]`` is ``(b, s)`` with
+    ``b * 2**s`` in ``[(1 - (MAX_TRIALS + 1 - m) delta_T) / m!, 1 / m!]``,
+    ``delta_T = 2**(1 - _TABLE_WIDTH)``, b at most ``_TABLE_WIDTH`` bits.
+
+    ``m!`` is built upward and ``1/m!`` downward from an exact floor of
+    ``1/MAX_TRIALS!``, by ``1/(m - 1)! = m / m!``: one floored product per
+    step, each keeping a factor in ``(1 - delta_T, 1]``.  Built once per
+    process, on its first fixed-point tail.
+    """
+
+    def floored_products(bits: int, exp: int, factors: range) -> list[tuple[int, int]]:
+        entries = [(bits, exp)]
+        for m in factors:
+            bits *= m
+            excess = bits.bit_length() - _TABLE_WIDTH
+            if excess > 0:
+                bits >>= excess
+                exp += excess
+            entries.append((bits, exp))
+        return entries
+
+    factorials = floored_products(1, 0, range(1, MAX_TRIALS + 1))
+    last = math.factorial(MAX_TRIALS)
+    exp = -(last.bit_length() + _TABLE_WIDTH - 1)
+    # 2**-exp / MAX_TRIALS! lies in (2**(_TABLE_WIDTH - 1), 2**_TABLE_WIDTH)
+    reciprocals = floored_products((1 << -exp) // last, exp, range(MAX_TRIALS, 0, -1))
+    return tuple(factorials), tuple(reversed(reciprocals))
 
 
 def _floored_power(x: int, m: int, width: int) -> tuple[int, int]:

@@ -3,6 +3,8 @@
 """
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -170,7 +172,7 @@ def _bracket_holds(n, k, p, precision):
     tail = exact_binomial_tail(n, k, p)
     side = tail if upper else 1 - tail
     total, error, scale = tailprob._fixed_sum(
-        n, first, math.comb(n, first), x, y, den.bit_length() - 1, precision, upper
+        n, first, x, y, den.bit_length() - 1, precision, upper
     )
     return total <= side * 2**scale <= total + error
 
@@ -178,10 +180,11 @@ def _bracket_holds(n, k, p, precision):
 @given(n=st.integers(1, MAX_TRIALS), p=P_FAMILIES, data=st.data())
 def test_fixed_point_bracket_holds_the_exact_side(n, p, data):
     # also at precisions far under the ones the kernel runs at (the proof
-    # holds from P = 3), where every error term is relatively larger
+    # holds from P = 3), where every error term is relatively larger, and at
+    # the widest pass, whose width is nearest the factorial tables' own
     assume(0.0 < p < 1.0)
     k = data.draw(st.integers(1, n))
-    for precision in (4, 8, 80):
+    for precision in (4, 8, 80, 640):
         assert _bracket_holds(n, k, p, precision)
 
 
@@ -192,6 +195,48 @@ def test_fixed_point_bracket_holds_the_exact_side(n, p, data):
 )
 def test_fixed_point_bracket_covers_the_floors(n, k, p):
     assert _bracket_holds(n, k, p, 8)
+
+
+def test_factorial_tables_are_floored_within_their_proved_deficit():
+    # binomial_tail's proof needs the tables 20 bits wider than the widest
+    # pass, every entry at most its exact value, and under it by at most
+    # m floors of 2**(1 - width) for m! and MAX_TRIALS + 1 - m for 1/m!
+    width = tailprob._TABLE_WIDTH
+    assert width >= tailprob._PRECISIONS[-1] + tailprob._GUARD + 20
+    factorials, reciprocals = tailprob._factorial_tables()
+    assert len(factorials) == len(reciprocals) == MAX_TRIALS + 1
+    for m in range(MAX_TRIALS + 1):
+        exact = math.factorial(m)
+        (f, f_exp), (g, g_exp) = factorials[m], reciprocals[m]
+        assert f.bit_length() <= width and g.bit_length() <= width
+        assert f_exp >= 0 and g_exp < 0
+        # m! - F <= m! m 2**(1 - width)
+        entry = f << f_exp
+        assert entry <= exact
+        assert (exact - entry) << (width - 1) <= m * exact
+        # 1/m! - G <= (MAX_TRIALS + 1 - m) 2**(1 - width) / m!, times m! 2**-g_exp
+        one = 1 << -g_exp
+        assert g * exact <= one
+        assert (one - g * exact) << (width - 1) <= (MAX_TRIALS + 1 - m) * one
+
+
+def test_factorial_tables_are_built_on_the_first_fixed_point_tail():
+    # a one-shot command with no fixed-point tail builds no table (`tail`
+    # here takes the exact side sum); the first fixed-point tail builds it
+    script = """
+import contextlib, io
+from eragreats import binomial_tail, cli, tailprob
+argvs = (["dilution"], ["proportion"], ["tail", "--n", "10", "--k", "6", "--p", "0.18696"])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+sizes = [tailprob._factorial_tables.cache_info().currsize]
+binomial_tail(1000, 400, 0.3)
+sizes.append(tailprob._factorial_tables.cache_info().currsize)
+print(sizes)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 1]\n", "")
 
 
 def test_zero_shortcut_boundary_rounds_like_exact():

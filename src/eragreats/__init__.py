@@ -6,88 +6,50 @@ be.  The pieces: cumulative eligible-population shares (optionally
 interest-weighted), exact binomial tail probabilities with "1 in N"
 presentation, per-roster-spot talent dilution, and era detrending of raw
 statistics.
+
+Importing the package imports none of its modules: each public name is
+imported from its module on first use (PEP 562) and then bound here, so
+a command or a caller pays only for the modules it runs.
 """
 
-from .analysis import (
-    OverrepReport,
-    analyze,
-    bridge_check,
-    monte_carlo_oracle,
-    sensitivity_matrix,
-)
-from .defaults import (
-    default_league_seasons,
-    default_population_table,
-    default_ranked_lists,
-    default_weight_regimes,
-)
-from .detrend import (
-    SeasonStat,
-    compute_historic_average,
-    detrend_career,
-    detrend_value,
-    load_season_stats,
-)
-from .dilution import (
-    LeagueSeason,
-    build_league_seasons,
-    format_per_roster_spot,
-    load_league_config,
-    per_roster_spot,
-)
-from .errors import DataError, DomainError, EraGreatsError
-from .formatting import format_probability, format_proportion
-from .population import (
-    PopulationRecord,
-    PopulationTable,
-    WeightRegime,
-    cumulative_population,
-    cumulative_proportion,
-    load_population_table,
-    load_weight_regimes,
-)
-from .rankings import PlayerEntry, RankedList, count_early, load_ranked_list
-from .tailprob import Chance, binomial_tail, chance_format
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chance",
-    "DataError",
-    "DomainError",
-    "EraGreatsError",
-    "LeagueSeason",
-    "OverrepReport",
-    "PlayerEntry",
-    "PopulationRecord",
-    "PopulationTable",
-    "RankedList",
-    "SeasonStat",
-    "WeightRegime",
-    "analyze",
-    "binomial_tail",
-    "bridge_check",
-    "build_league_seasons",
-    "chance_format",
-    "compute_historic_average",
-    "count_early",
-    "cumulative_population",
-    "cumulative_proportion",
-    "default_league_seasons",
-    "default_population_table",
-    "default_ranked_lists",
-    "default_weight_regimes",
-    "detrend_career",
-    "detrend_value",
-    "format_per_roster_spot",
-    "format_probability",
-    "format_proportion",
-    "load_league_config",
-    "load_population_table",
-    "load_ranked_list",
-    "load_season_stats",
-    "load_weight_regimes",
-    "monte_carlo_oracle",
-    "per_roster_spot",
-    "sensitivity_matrix",
-]
+# each public name, listed once under the module that defines it
+_NAMES_BY_MODULE = {
+    "analysis": ("OverrepReport", "analyze", "bridge_check", "monte_carlo_oracle",
+                 "sensitivity_matrix"),
+    "defaults": ("default_league_seasons", "default_population_table",
+                 "default_ranked_lists", "default_weight_regimes"),
+    "detrend": ("SeasonStat", "compute_historic_average", "detrend_career", "detrend_value",
+                "load_season_stats"),
+    "dilution": ("LeagueSeason", "build_league_seasons", "load_league_config",
+                 "per_roster_spot"),
+    "errors": ("DataError", "DomainError", "EraGreatsError"),
+    "formatting": ("format_per_roster_spot", "format_probability", "format_proportion"),
+    "population": ("PopulationRecord", "PopulationTable", "WeightRegime",
+                   "cumulative_population", "cumulative_proportion", "load_population_table",
+                   "load_weight_regimes"),
+    "rankings": ("PlayerEntry", "RankedList", "count_early", "load_ranked_list"),
+    "tailprob": ("Chance", "binomial_tail", "chance_format"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES_BY_MODULE.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # called only for a name not yet bound here; the import system's own
+    # lock makes a module's first import run once, and every thread then
+    # reads the same object from it
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -27,7 +27,7 @@ from .population import (
     cumulative_proportion,
 )
 from .rankings import RankedList, count_early
-from .tailprob import Chance, _check_tail_args, binomial_tail, chance_format
+from .tailprob import Chance, _chance, _check_tail_args, binomial_tail
 
 if TYPE_CHECKING:
     import numpy
@@ -62,13 +62,6 @@ def _check_span(ranked: RankedList, table: PopulationTable) -> None:
                 f"{entry.name!r} starts in {entry.career_start_year}, outside the "
                 f"covered span ({first}, {final}]"
             )
-
-
-def _chance(probability: float) -> Chance:
-    """The "1 in N" of a tail probability; an exact 0.0 has no N and shows "-"."""
-    if probability == 0.0:
-        return Chance(0.0, "-")
-    return chance_format(probability)
 
 
 def _report(source, depth, count, proportion, regime, chances) -> OverrepReport:

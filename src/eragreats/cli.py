@@ -9,6 +9,13 @@ output text of each report command (``analyze``, ``sensitivity``,
 (``_report_text``), so a repeated command over the same file bytes is one
 lookup; the library calls behind it keep nothing.
 
+At import this module loads only ``errors``, ``formatting`` and
+``defaults``, which build the parser and render the output; ``json``
+and ``csv`` load only for their output formats.  Each handler imports
+the modules it runs, one import statement per module per command, so
+``tail`` loads ``tailprob`` alone and numpy stays unloaded unless
+``--trials`` asks for a simulation.
+
 Exit codes: 0 success, 2 usage errors (argparse), 3 invalid input data
 or a stdout that cannot be written, 4 domain errors in a computation.  A
 stdout whose reader has gone (a closed pipe) ends with exit 3 and no
@@ -20,15 +27,12 @@ that cannot be written loses its one-line message but not the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import io
-import json
 import os
 import sys
 
-from .analysis import _chance, bridge_check, monte_carlo_oracle, sensitivity_matrix
 from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
@@ -37,23 +41,8 @@ from .defaults import (
     data_path,
     default_ranked_lists,
 )
-from .detrend import (
-    _career_total,
-    compute_historic_average,
-    detrend_value,
-    load_season_stats,
-)
-from .dilution import (
-    build_league_seasons,
-    format_per_roster_spot,
-    load_league_config,
-    per_roster_spot,
-)
 from .errors import DataError, DomainError
-from .formatting import format_probability, format_proportion
-from .population import _keep, cumulative_proportion, load_population_table, load_weight_regimes
-from .rankings import load_ranked_list
-from .tailprob import binomial_tail
+from .formatting import format_per_roster_spot, format_probability, format_proportion
 
 FORMATS = ("table", "csv", "json")
 
@@ -224,8 +213,7 @@ def _counts_arg(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _pick_regime(args):
-    regimes = load_weight_regimes(args.weights)
+def _pick_regime(args, regimes):
     if args.regime is None:
         return None
     if args.regime not in regimes:
@@ -235,23 +223,30 @@ def _pick_regime(args):
     return regimes[args.regime]
 
 
-def _ranked_lists(args):
+def _ranked_lists(args, load_ranked_list):
     if args.lists:
         return [load_ranked_list(path) for path in args.lists]
     return default_ranked_lists()
 
 
 def _cmd_proportion(args) -> str:
+    from .population import cumulative_proportion, load_population_table, load_weight_regimes
+
     table = load_population_table(args.population)
-    value = cumulative_proportion(table, args.cutoff, regime=_pick_regime(args))
+    regime = _pick_regime(args, load_weight_regimes(args.weights))
+    value = cumulative_proportion(table, args.cutoff, regime=regime)
     return format_proportion(value) + "\n"
 
 
 def _cmd_tail(args) -> str:
+    from .tailprob import _chance, binomial_tail
+
     probability = binomial_tail(args.n, args.k, args.p)
     row = {"probability": probability, "chance": _chance(probability).display}
     simulated = {}
     if args.trials is not None:
+        from .analysis import monte_carlo_oracle
+
         oracle = monte_carlo_oracle(args.n, args.p, args.trials, args.seed)
         row["monte_carlo"] = float(oracle[args.k])
         simulated = {"trials": args.trials, "seed": args.seed}
@@ -261,22 +256,33 @@ def _cmd_tail(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    from .analysis import sensitivity_matrix
+    from .population import load_population_table, load_weight_regimes
+    from .rankings import load_ranked_list
+
     table = load_population_table(args.population)
-    regime = _pick_regime(args)
-    lists = _ranked_lists(args)
+    regime = _pick_regime(args, load_weight_regimes(args.weights))
+    lists = _ranked_lists(args, load_ranked_list)
     return _report_text(args, (table, regime, *lists), False, lambda: sensitivity_matrix(
         lists, [regime], args.depths, args.cutoff, table))
 
 
 def _cmd_sensitivity(args) -> str:
+    from .analysis import sensitivity_matrix
+    from .population import load_population_table, load_weight_regimes
+    from .rankings import load_ranked_list
+
     table = load_population_table(args.population)
     regimes = list(load_weight_regimes(args.weights).values())
-    lists = _ranked_lists(args)
+    lists = _ranked_lists(args, load_ranked_list)
     return _report_text(args, (table, *regimes, *lists), True, lambda: sensitivity_matrix(
         lists, regimes, args.depths, args.cutoff, table))
 
 
 def _cmd_bridge(args) -> str:
+    from .analysis import bridge_check
+    from .population import load_population_table
+
     table = load_population_table(args.population)
     return _report_text(args, (table,), False, lambda: bridge_check(
         args.counts, args.pool_cutoff, args.cutoff, table))
@@ -307,12 +313,18 @@ def _report_text(args, inputs: tuple, regime: bool, reports) -> str:
     kept = _texts.get(key)
     if kept is not None:
         return kept[0]
+    # imported on a miss only: a kept text is one lookup
+    from .population import _keep
+
     text = _emit(_report_rows(reports(), regime), args.format)
     _keep(_texts, key, (text, inputs))
     return text
 
 
 def _cmd_dilution(args) -> str:
+    from .dilution import build_league_seasons, load_league_config, per_roster_spot
+    from .population import load_population_table
+
     table = load_population_table(args.population)
     seasons = build_league_seasons(load_league_config(args.league), table)
     rows = [
@@ -329,6 +341,8 @@ def _cmd_dilution(args) -> str:
 
 
 def _cmd_detrend(args) -> str:
+    from .detrend import _career_total, compute_historic_average, detrend_value, load_season_stats
+
     stats = load_season_stats(args.stats)
     if args.historic_average is not None:
         historic = args.historic_average
@@ -372,6 +386,8 @@ def _emit(rows, fmt: str) -> str:
     too.  Table and CSV cells are the ``_cell`` text of each value.
     """
     if fmt == "json":
+        import json
+
         return json.dumps(rows, indent=2) + "\n"
     columns = list(rows[0])
     return _render(columns, [[_cell(c, row[c]) for c in columns] for row in rows], fmt)
@@ -389,6 +405,8 @@ def _report_rows(reports, regime: bool) -> list[dict]:
 
 def _render(columns, rows, fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)

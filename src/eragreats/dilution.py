@@ -1,7 +1,9 @@
 """Talent dilution: eligible population per major-league roster spot.
 
-The per-spot figures display through ``formatting.half_up``, the exact
-half-up rule the "1 in N" figures use, with whole numbers from 100 up.
+The per-spot figures display through ``format_per_roster_spot``, which
+lives in ``formatting`` beside ``half_up``, the exact half-up rule the
+"1 in N" figures use, with whole numbers from 100 up; it is imported here
+too, so ``eragreats.dilution.format_per_roster_spot`` still names it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, DomainError
-from .formatting import half_up
+from .formatting import format_per_roster_spot  # noqa: F401 (re-exported)
 from .population import PopulationTable, fixed_columns, read_rows
 
 
@@ -49,15 +51,6 @@ def per_roster_spot(season: LeagueSeason) -> float:
     if math.isinf(value):
         raise DomainError(f"{season.year}: people per roster spot overflow a double")
     return value
-
-
-def format_per_roster_spot(value: float) -> str:
-    """Display rule: the exact value rounded half up, to tenths below 100
-    with a trailing ".0" dropped, to a whole number from 100 up.
-    """
-    if not value > 0 or math.isinf(value):
-        raise DomainError(f"per-roster-spot value must be positive and finite, got {value!r}")
-    return half_up(*value.as_integer_ratio(), 100)
 
 
 def load_league_config(path) -> list[tuple[int, int, int]]:

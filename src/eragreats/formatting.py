@@ -3,8 +3,11 @@
 All report rendering is positional (never scientific notation) so that
 small tail probabilities read like "0.0000057" and proportions like
 "0.187".  ``half_up`` is the one rounding rule behind the "1 in N"
-figures and the dilution table: exact, half up, whole numbers from a
-threshold up and tenths below it.
+figures and the dilution table (``format_per_roster_spot``): exact, half
+up, whole numbers from a threshold up and tenths below it.
+
+The command line imports this module, with ``errors``, before it parses
+its arguments, so it imports nothing else of the package.
 """
 
 from __future__ import annotations
@@ -51,3 +54,12 @@ def half_up(num: int, den: int, whole_from: int) -> str:
         return str((2 * num + den) // (2 * den))
     whole, tenth = divmod((20 * num + den) // (2 * den), 10)
     return str(whole) if tenth == 0 else f"{whole}.{tenth}"
+
+
+def format_per_roster_spot(value: float) -> str:
+    """Display rule: the exact value rounded half up, to tenths below 100
+    with a trailing ".0" dropped, to a whole number from 100 up.
+    """
+    if not value > 0 or math.isinf(value):
+        raise DomainError(f"per-roster-spot value must be positive and finite, got {value!r}")
+    return half_up(*value.as_integer_ratio(), 100)

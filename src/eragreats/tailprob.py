@@ -341,3 +341,10 @@ def chance_format(probability: float) -> Chance:
     # the reciprocal is den / num exactly
     num, den = probability.as_integer_ratio()
     return Chance(probability, f"1 in {half_up(den, num, 10)}")
+
+
+def _chance(probability: float) -> Chance:
+    """The "1 in N" of a tail probability; an exact 0.0 has no N and shows "-"."""
+    if probability == 0.0:
+        return Chance(0.0, "-")
+    return chance_format(probability)

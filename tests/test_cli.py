@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import cli, detrend_career, formatting, load_season_stats
+from eragreats import analysis, cli, detrend_career, formatting, load_season_stats
 from eragreats.analysis import OverrepReport
 from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_POOL_CUTOFF_YEAR, data_path
 from eragreats.population import _PARSED_LIMIT
@@ -85,13 +85,123 @@ def run_main(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is most of a cold start, and only `tail --trials` needs it
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, eragreats.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True,
-    )
-    assert (result.returncode, result.stdout) == (0, "False\n")
+# run in a fresh interpreter: import the package or its CLI, or run one
+# command through cli.main; print the package modules then loaded (the
+# root as "") and which of csv, dataclasses, json and numpy are, read
+# before the script imports json itself
+LOADED_MODULES = """
+import contextlib, io, sys
+argv = sys.argv[1:]
+if argv == ["eragreats"]:
+    import eragreats
+elif argv == ["eragreats.cli"]:
+    import eragreats.cli
+else:
+    from eragreats import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+package = sorted(name[len("eragreats"):].lstrip(".") for name in sys.modules
+                 if name.partition(".")[0] == "eragreats")
+standard = [name for name in ("csv", "dataclasses", "json", "numpy") if name in sys.modules]
+import json
+print(json.dumps([package, standard]))
+"""
+CLI_MODULES = ["", "cli", "defaults", "errors", "formatting"]
+REPORT_MODULES = sorted([*CLI_MODULES, "analysis", "population", "rankings", "tailprob"])
+# population reads its CSV files with csv, and its records are dataclasses
+LOADERS = ["csv", "dataclasses"]
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # numpy is most of a cold start, and only `tail --trials` needs it; the
+    # package root imports no module until a name is used, the CLI only
+    # what builds its parser and renders, and each command what it runs
+    seasons = tmp_path / "seasons.csv"
+    seasons.write_text("season,value,league_average\n1919,54,4.0\n1920,29,3.5\n")
+    expected = {
+        # entry point: (package modules, standard modules)
+        "eragreats": ([""], []),
+        "eragreats.cli": (CLI_MODULES, []),
+        "tail --n 10 --k 6 --p 0.18696": (sorted([*CLI_MODULES, "tailprob"]), ["dataclasses"]),
+        "tail --n 10 --k 6 --p 0.18696 --trials 100": (REPORT_MODULES, [*LOADERS, "numpy"]),
+        "tail --n 10 --k 6 --p 0.18696 --format json": (
+            sorted([*CLI_MODULES, "tailprob"]), ["dataclasses", "json"]),
+        "proportion --regime w3": (sorted([*CLI_MODULES, "population"]), LOADERS),
+        "dilution": (sorted([*CLI_MODULES, "dilution", "population"]), LOADERS),
+        f"detrend {seasons}": (sorted([*CLI_MODULES, "detrend", "population"]), LOADERS),
+        "analyze": (REPORT_MODULES, LOADERS),
+        "sensitivity": (REPORT_MODULES, LOADERS),
+        "bridge": (REPORT_MODULES, LOADERS),
+    }
+    loaded = {}
+    for entry in expected:
+        result = subprocess.run([sys.executable, "-c", LOADED_MODULES, *entry.split()],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded[entry] = tuple(json.loads(result.stdout))
+    assert loaded == expected
+
+
+# run in a fresh interpreter, where no public name is bound in the root yet
+LAZY_ROOT = """
+import json, sys, threading
+import eragreats
+names = eragreats.__all__
+unbound = [name for name in names if name not in vars(eragreats)]
+listed = dir(eragreats)
+# two threads resolve every name at once, each in its own order, and
+# switch often while they do
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(2, timeout=60)
+resolved = {}
+def resolve(order):
+    barrier.wait()
+    resolved[order] = {name: getattr(eragreats, name) for name in names[::order]}
+threads = [threading.Thread(target=resolve, args=(order,)) for order in (1, -1)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads) and len(resolved) == 2
+home = {name: getattr(sys.modules[value.__module__], name) for name, value in resolved[1].items()}
+star = {}
+exec("from eragreats import *", star)
+try:
+    eragreats.no_such_name
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "names": len(names),
+    "version": eragreats.__version__,
+    "unbound": len(unbound),
+    "threads_agree": all(resolved[1][name] is resolved[-1][name] for name in names),
+    "bound": all(vars(eragreats).get(name) is resolved[1][name] for name in names),
+    "home": [name for name in names if home[name] is not resolved[1][name]],
+    "star": sorted(name for name in star if name != "__builtins__") == sorted(names)
+            and all(star[name] is home[name] for name in names),
+    "dir": "__all__" in listed and set(names) <= set(listed),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_the_package_root_resolves_each_public_name_from_its_module():
+    result = subprocess.run([sys.executable, "-c", LAZY_ROOT], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "names": 38,
+        "version": "0.1.0",
+        # nothing is bound before its first use, though dir lists it ...
+        "unbound": 38,
+        "dir": True,
+        # ... and then every name is the object its module holds, in every
+        # thread, and is bound in the root
+        "threads_agree": True,
+        "bound": True,
+        "home": [],
+        "star": True,
+        "unknown": "module 'eragreats' has no attribute 'no_such_name'",
+    }
 
 
 def test_proportion_prints_three_decimals():
@@ -679,7 +789,8 @@ def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
         per_cell_reports(*args)
         raise AssertionError("the per-cell loop found no fault")
 
-    monkeypatch.setattr(cli, "sensitivity_matrix", per_cell_grid)
+    # the handlers import sensitivity_matrix from analysis at each command
+    monkeypatch.setattr(analysis, "sensitivity_matrix", per_cell_grid)
     assert grid == [run_main(argv) for argv in invocations]
     assert {code for code, _, _ in grid} == {3, 4}
     assert all(stdout == "" for _, stdout, _ in grid)

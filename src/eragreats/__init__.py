@@ -7,7 +7,10 @@ interest-weighted), exact binomial tail probabilities with "1 in N"
 presentation, per-roster-spot talent dilution, and era detrending of raw
 statistics.
 
-Importing the package imports none of its modules: each public name is
+The package root holds the names README's "Library API" lists, the ones
+that reproduce the paper's reports.  Every other public name, those of
+``dilution`` and ``detrend`` included, is imported from its own module.
+Importing the package imports none of its modules: each root name is
 imported from its module on first use (PEP 562) and then bound here, so
 a command or a caller pays only for the modules it runs.
 """
@@ -16,22 +19,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each public name, listed once under the module that defines it
+# each root name, listed once under the module that defines it
 _NAMES_BY_MODULE = {
-    "analysis": ("OverrepReport", "analyze", "bridge_check", "monte_carlo_oracle",
-                 "sensitivity_matrix"),
-    "defaults": ("default_league_seasons", "default_population_table",
-                 "default_ranked_lists", "default_weight_regimes"),
-    "detrend": ("SeasonStat", "compute_historic_average", "detrend_career", "detrend_value",
-                "load_season_stats"),
-    "dilution": ("LeagueSeason", "build_league_seasons", "load_league_config",
-                 "per_roster_spot"),
+    "analysis": ("OverrepReport", "analyze", "bridge_check", "sensitivity_matrix"),
+    "defaults": ("default_population_table", "default_ranked_lists", "default_weight_regimes"),
     "errors": ("DataError", "DomainError", "EraGreatsError"),
-    "formatting": ("format_per_roster_spot", "format_probability", "format_proportion"),
-    "population": ("PopulationRecord", "PopulationTable", "WeightRegime",
-                   "cumulative_population", "cumulative_proportion", "load_population_table",
-                   "load_weight_regimes"),
-    "rankings": ("PlayerEntry", "RankedList", "count_early", "load_ranked_list"),
+    "formatting": ("format_probability",),
+    "population": ("PopulationTable", "WeightRegime", "cumulative_proportion",
+                   "load_population_table", "load_weight_regimes"),
+    "rankings": ("RankedList", "load_ranked_list"),
     "tailprob": ("Chance", "binomial_tail", "chance_format"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES_BY_MODULE.items() for name in names}

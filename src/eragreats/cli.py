@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands mirror the library: ``proportion``, ``tail``, ``analyze``,
-``sensitivity``, ``bridge``, ``dilution``, ``detrend``.  All output is
+``sensitivity``, ``bridge``, ``dilution``, ``detrend``.  The last two run
+their own modules, whose names the package root does not list; the
+``detrend`` career total is ``detrend.detrend_career``.  All output is
 deterministic byte-for-byte for a given invocation: fixed column orders,
 fixed float rendering, no timestamps, no hash-order iteration.  The
 output text of each report command (``analyze``, ``sensitivity``,
@@ -341,7 +343,7 @@ def _cmd_dilution(args) -> str:
 
 
 def _cmd_detrend(args) -> str:
-    from .detrend import _career_total, compute_historic_average, detrend_value, load_season_stats
+    from .detrend import compute_historic_average, detrend_career, detrend_value, load_season_stats
 
     stats = load_season_stats(args.stats)
     if args.historic_average is not None:
@@ -353,7 +355,7 @@ def _cmd_detrend(args) -> str:
          "detrended": detrend_value(s.value, s.league_average, historic)}
         for s in stats
     ]
-    total = _career_total([row["detrended"] for row in rows])
+    total = detrend_career(stats, historic)
     if args.format == "json":
         return _emit({"historic_average": historic, "seasons": rows, "career_total": total},
                      "json")

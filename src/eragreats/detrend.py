@@ -2,8 +2,10 @@
 
 A season value is rescaled by (historic average / that season's league
 average), so seasons posted against an easy league shrink and seasons
-posted against a hard league grow.  Career totals are sums of detrended
-seasons.
+posted against a hard league grow.  A career total is the exact sum of
+its detrended seasons, rounded once (``detrend_career``); the ``detrend``
+command prints that total too.  The package root does not list this
+module's names; import them from ``eragreats.detrend``.
 """
 
 from __future__ import annotations
@@ -103,13 +105,7 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
         raise DomainError("career detrending needs at least one season")
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
-    return _career_total(
-        [detrend_value(s.value, s.league_average, historic_average) for s in stats]
-    )
-
-
-def _career_total(seasons: list[float]) -> float:
-    """The exact sum of detrended ``seasons``, rounded once to a double."""
+    seasons = [detrend_value(s.value, s.league_average, historic_average) for s in stats]
     try:
         return _exact_sum(seasons) / _UNITS
     except OverflowError:

@@ -1,9 +1,9 @@
 """Talent dilution: eligible population per major-league roster spot.
 
-The per-spot figures display through ``format_per_roster_spot``, which
-lives in ``formatting`` beside ``half_up``, the exact half-up rule the
-"1 in N" figures use, with whole numbers from 100 up; it is imported here
-too, so ``eragreats.dilution.format_per_roster_spot`` still names it.
+The per-spot figures display through ``formatting.format_per_roster_spot``,
+beside ``half_up``, the exact half-up rule the "1 in N" figures use, with
+whole numbers from 100 up.  The package root does not list this module's
+names; import them from ``eragreats.dilution``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, DomainError
-from .formatting import format_per_roster_spot  # noqa: F401 (re-exported)
 from .population import PopulationTable, fixed_columns, read_rows
 
 

@@ -9,10 +9,10 @@ a cutoff on a period's final year includes the period in full.
 
 Interest weighting scales each period's population by a regime weight in
 both the numerator and the denominator, which models era-dependent talent
-pull without changing the total-share normalization.  The share functions
-take the regime as an optional ``regime=`` argument.  Every total is exact
-(``_exact_population``), so every share is correctly rounded; nothing of
-a total is kept between calls.
+pull without changing the total-share normalization.  The share function,
+``cumulative_proportion``, takes the regime as an optional ``regime=``
+argument.  Every total is exact (``_exact_population``), so every share is
+correctly rounded; nothing of a total is kept between calls.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
@@ -54,6 +54,11 @@ class PopulationRecord:
             raise DataError(
                 f"population for period ending {self.period_end_year} must be "
                 f"positive, got {self.population!r}"
+            )
+        if self.population == math.inf:
+            raise DataError(
+                f"population for period ending {self.period_end_year} must be "
+                f"finite, got {self.population!r}"
             )
         if not 1 <= self.period_length_years <= 10:
             raise DataError(
@@ -184,16 +189,6 @@ def _exact_population(
             raise DomainError(f"population total through {cutoff_year} overflows a double")
         totals.append(total)
     return (*totals, scale)
-
-
-def cumulative_population(
-    table: PopulationTable, cutoff_year: int, regime: WeightRegime | None = None
-) -> float:
-    """Eligible population (millions) that existed through ``cutoff_year``,
-    each period scaled by its ``regime`` weight when one is given, summed
-    exactly and rounded once."""
-    total, scale = _exact_population(table, regime, cutoff_year)
-    return total / scale
 
 
 def cumulative_proportion(

@@ -43,19 +43,15 @@ from eragreats import (
     binomial_tail,
     bridge_check,
     chance_format,
-    compute_historic_average,
     cumulative_proportion,
-    default_league_seasons,
-    detrend_career,
-    detrend_value,
-    format_per_roster_spot,
     format_probability,
-    monte_carlo_oracle,
-    per_roster_spot,
     sensitivity_matrix,
-    SeasonStat,
 )
-from eragreats.defaults import data_path
+from eragreats.analysis import monte_carlo_oracle
+from eragreats.defaults import data_path, default_league_seasons
+from eragreats.detrend import SeasonStat, compute_historic_average, detrend_career, detrend_value
+from eragreats.dilution import per_roster_spot
+from eragreats.formatting import format_per_roster_spot
 from eragreats.population import PopulationRecord, PopulationTable
 from oracles import (
     enumerated_tails_all_k,

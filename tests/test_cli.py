@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,9 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eragreats import analysis, cli, detrend_career, formatting, load_season_stats
+import eragreats
+from eragreats import analysis, cli, formatting
 from eragreats.analysis import OverrepReport
 from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_POOL_CUTOFF_YEAR, data_path
+from eragreats.detrend import detrend_career, load_season_stats
 from eragreats.population import _PARSED_LIMIT
 from eragreats.tailprob import Chance
 from oracles import (
@@ -144,7 +147,7 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
 
 # run in a fresh interpreter, where no public name is bound in the root yet
 LAZY_ROOT = """
-import json, sys, threading
+import importlib, json, sys, threading
 import eragreats
 names = eragreats.__all__
 unbound = [name for name in names if name not in vars(eragreats)]
@@ -166,10 +169,18 @@ assert not any(thread.is_alive() for thread in threads) and len(resolved) == 2
 home = {name: getattr(sys.modules[value.__module__], name) for name, value in resolved[1].items()}
 star = {}
 exec("from eragreats import *", star)
-try:
-    eragreats.no_such_name
-except AttributeError as exc:
-    unknown = str(exc)
+def missing(name):
+    try:
+        getattr(eragreats, name)
+    except AttributeError as exc:
+        return str(exc)
+# the names that left the root, as (module, name): each stays importable
+# from its module, and the root refuses it as it does an unknown name
+left = [path.partition(".")[::2] for path in sys.argv[1:]]
+def home_of(module, name):
+    return getattr(importlib.import_module(f"eragreats.{module}"), name, None)
+deleted = [("population", "cumulative_population"), ("detrend", "_career_total"),
+           ("dilution", "format_per_roster_spot")]
 print(json.dumps({
     "names": len(names),
     "version": eragreats.__version__,
@@ -180,19 +191,37 @@ print(json.dumps({
     "star": sorted(name for name in star if name != "__builtins__") == sorted(names)
             and all(star[name] is home[name] for name in names),
     "dir": "__all__" in listed and set(names) <= set(listed),
-    "unknown": unknown,
+    "unknown": missing("no_such_name"),
+    "left_not_home": [name for module, name in left
+                      if getattr(home_of(module, name), "__module__", None)
+                      != f"eragreats.{module}"],
+    "left_in_root": [name for _, name in left
+                     if missing(name) != f"module 'eragreats' has no attribute {name!r}"],
+    "deleted_still_there": [name for module, name in deleted
+                            if home_of(module, name) is not None],
 }))
 """
+# each public name that is not in the package root, as module.name
+LEFT_ROOT = [
+    "analysis.monte_carlo_oracle", "defaults.default_league_seasons",
+    "detrend.SeasonStat", "detrend.compute_historic_average", "detrend.detrend_career",
+    "detrend.detrend_value", "detrend.load_season_stats",
+    "dilution.LeagueSeason", "dilution.build_league_seasons", "dilution.load_league_config",
+    "dilution.per_roster_spot",
+    "formatting.format_per_roster_spot", "formatting.format_proportion",
+    "population.PopulationRecord", "rankings.PlayerEntry", "rankings.count_early",
+]
 
 
 def test_the_package_root_resolves_each_public_name_from_its_module():
-    result = subprocess.run([sys.executable, "-c", LAZY_ROOT], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", LAZY_ROOT, *LEFT_ROOT],
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
-        "names": 38,
+        "names": 21,
         "version": "0.1.0",
         # nothing is bound before its first use, though dir lists it ...
-        "unbound": 38,
+        "unbound": 21,
         "dir": True,
         # ... and then every name is the object its module holds, in every
         # thread, and is bound in the root
@@ -201,7 +230,21 @@ def test_the_package_root_resolves_each_public_name_from_its_module():
         "home": [],
         "star": True,
         "unknown": "module 'eragreats' has no attribute 'no_such_name'",
+        # every name that left the root is its module's own object, and the
+        # root has no attribute of that name; the three deleted names are gone
+        "left_not_home": [],
+        "left_in_root": [],
+        "deleted_still_there": [],
     }
+
+
+def test_readme_library_api_lists_the_package_root():
+    # one line per root name, in README's "Library API" section
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)", section, re.MULTILINE)
+    assert len(listed) == len(set(listed)) == 21
+    assert sorted(listed) == sorted(eragreats.__all__)
 
 
 def test_proportion_prints_three_decimals():
@@ -263,6 +306,19 @@ def test_tail_and_dilution_json_match_golden_bytes():
         code, stdout, stderr = run_main([*argv, "--format", "json"])
         assert (code, stderr) == (0, "")
         assert stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("golden, flags", [("detrend", []),
+                                           ("detrend_historic", ["--historic-average", "0.6"])])
+def test_detrend_outputs_match_golden_bytes(golden, flags, fmt):
+    # tests/golden/detrend*.<format> hold the stdout of `detrend` on the
+    # committed tests/golden/seasons.csv, whose career total in JSON is the
+    # exact sum rounded once, two ulps above the running sum of its seasons
+    code, stdout, stderr = run_main(["detrend", str(GOLDEN / "seasons.csv"), *flags,
+                                     "--format", fmt])
+    assert (code, stderr) == (0, "")
+    assert stdout.encode() == (GOLDEN / f"{golden}.{fmt}").read_bytes()
 
 
 def test_analyze_table_layout():

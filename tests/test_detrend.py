@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eragreats import (
-    DataError,
-    DomainError,
+from eragreats import DataError, DomainError
+from eragreats.detrend import (
     SeasonStat,
     compute_historic_average,
     detrend_career,

@@ -5,16 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eragreats import (
-    DataError,
-    DomainError,
+from eragreats import DataError, DomainError
+from eragreats.defaults import default_league_seasons
+from eragreats.dilution import (
     LeagueSeason,
     build_league_seasons,
-    default_league_seasons,
-    format_per_roster_spot,
     load_league_config,
     per_roster_spot,
 )
+from eragreats.formatting import format_per_roster_spot
 from oracles import rounded_half_up
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eragreats import DomainError, format_probability, format_proportion
-from eragreats.formatting import half_up
+from eragreats import DomainError, format_probability
+from eragreats.formatting import format_proportion, half_up
 from oracles import rounded_half_up, significant_figures
 
 

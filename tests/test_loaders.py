@@ -23,12 +23,12 @@ import eragreats.population
 import eragreats.rankings
 from eragreats import (
     DataError,
-    load_league_config,
     load_population_table,
     load_ranked_list,
-    load_season_stats,
     load_weight_regimes,
 )
+from eragreats.detrend import load_season_stats
+from eragreats.dilution import load_league_config
 
 # loader, header, a good first row, and a second row whose last cell is
 # filled in by each case

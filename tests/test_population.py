@@ -16,15 +16,21 @@ from eragreats import population
 from eragreats import (
     DataError,
     DomainError,
-    PopulationRecord,
     PopulationTable,
     WeightRegime,
     bridge_check,
-    cumulative_population,
     cumulative_proportion,
     load_population_table,
     load_weight_regimes,
 )
+from eragreats.population import PopulationRecord
+
+
+def population_total(table, cutoff_year, regime=None):
+    """The library's exact total through ``cutoff_year``, rounded once."""
+    total, scale = population._exact_population(table, regime, cutoff_year)
+    return total / scale
+
 
 # hand sums over the bundled table (decade populations in millions)
 TOTAL = 348.53
@@ -33,22 +39,22 @@ THROUGH_1990 = 179.46
 
 
 def test_cumulative_population_at_period_ends(table):
-    assert cumulative_population(table, 1950) == pytest.approx(THROUGH_1950, rel=1e-12)
-    assert cumulative_population(table, 1990) == pytest.approx(THROUGH_1990, rel=1e-12)
-    assert cumulative_population(table, 2015) == pytest.approx(TOTAL, rel=1e-12)
+    assert population_total(table, 1950) == pytest.approx(THROUGH_1950, rel=1e-12)
+    assert population_total(table, 1990) == pytest.approx(THROUGH_1990, rel=1e-12)
+    assert population_total(table, 2015) == pytest.approx(TOTAL, rel=1e-12)
 
 
 def test_prorates_linearly_inside_a_period(table):
     # 1999 takes nine tenths of the 1990..2000 decade
-    assert cumulative_population(table, 1999) == pytest.approx(
+    assert population_total(table, 1999) == pytest.approx(
         THROUGH_1990 + 0.9 * 60.66, rel=1e-12
     )
     # 2013 takes three fifths of the five-year 2010..2015 period
-    assert cumulative_population(table, 2013) == pytest.approx(
+    assert population_total(table, 2013) == pytest.approx(
         312.39 + 0.6 * 36.14, rel=1e-12
     )
     # 1875 takes half of the earliest decade
-    assert cumulative_population(table, 1875) == pytest.approx(0.5 * 4.44, rel=1e-12)
+    assert population_total(table, 1875) == pytest.approx(0.5 * 4.44, rel=1e-12)
 
 
 def test_proportion_matches_hand_ratio(table):
@@ -109,7 +115,7 @@ def test_weighted_proportion_matches_hand_sums(table, regimes):
 
 def test_weighted_population_scales_each_period(table, regimes):
     w1 = regimes["w1"]
-    assert cumulative_population(table, 1950, regime=w1) == pytest.approx(
+    assert population_total(table, 1950, regime=w1) == pytest.approx(
         0.5 * 42.44 + 0.4 * 22.72, rel=1e-12
     )
 
@@ -157,7 +163,7 @@ def test_no_share_or_total_is_negative_zero(table, tmp_path):
     assert math.copysign(1.0, zeros["neg_float"].weights[1880]) == -1.0
     for cutoff in range(table.first_year + 1, table.final_year + 1):
         for regime in (None, *zeros.values()):
-            for share in (cumulative_proportion, cumulative_population):
+            for share in (cumulative_proportion, population_total):
                 value = share(table, cutoff, regime=regime)
                 assert math.copysign(1.0, value) == 1.0, (share, cutoff, regime)
             if regime is not None and cutoff <= 1950:
@@ -168,9 +174,9 @@ def test_no_share_or_total_is_negative_zero(table, tmp_path):
 
 def test_a_total_that_overflows_a_double_is_a_domain_error():
     table = PopulationTable((PopulationRecord(1880, 1e308), PopulationRecord(1890, 1e308, 1)))
-    assert cumulative_population(table, 1880) == 1e308
+    assert population_total(table, 1880) == 1e308
     with pytest.raises(DomainError, match="population total through 1890 overflows"):
-        cumulative_population(table, 1890)
+        population_total(table, 1890)
     with pytest.raises(DomainError, match="population total through 1890 overflows"):
         cumulative_proportion(table, 1880)
 
@@ -182,10 +188,10 @@ def test_a_total_overflows_exactly_where_it_rounds_past_the_largest_double():
     for last, fits in ((2.0**970, False), (2.0**970 * (1 - 2.0**-53), True)):
         table = PopulationTable((PopulationRecord(1880, largest), PopulationRecord(1890, last)))
         if fits:
-            assert cumulative_population(table, 1890) == largest
+            assert population_total(table, 1890) == largest
             assert cumulative_proportion(table, 1890) == 1.0
             continue
-        for share in (cumulative_population, cumulative_proportion):
+        for share in (population_total, cumulative_proportion):
             with pytest.raises(DomainError, match="population total through 1890 overflows"):
                 share(table, 1890)
 
@@ -313,7 +319,7 @@ def _share_outcome(share, *args):
 def test_shares_are_the_correctly_rounded_exact_shares(case):
     # twice each: a call keeps nothing, so the second gives the first's outcome
     table, cutoff, regime = case
-    for share, exact in ((cumulative_population, exact_cumulative_population),
+    for share, exact in ((population_total, exact_cumulative_population),
                          (cumulative_proportion, exact_cumulative_proportion)):
         expected = _share_outcome(exact, table, cutoff, regime)
         for _ in range(2):
@@ -384,6 +390,20 @@ def test_record_validation():
         PopulationRecord(1950, 5.0, 11)
     assert PopulationRecord(1950, 5.0).period_start_year == 1940
     assert PopulationRecord(2015, 5.0, 5).period_start_year == 2010
+
+
+def test_record_refuses_an_infinite_population():
+    # an infinite population made every share of its table raise a bare
+    # OverflowError; the record refuses it as invalid data, as the CSV
+    # reader refuses an "inf" cell
+    with pytest.raises(
+        DataError, match=r"^population for period ending 1890 must be finite, got inf$"
+    ):
+        PopulationRecord(1890, math.inf)
+    for value in (-math.inf, math.nan):
+        with pytest.raises(DataError, match=rf"^population for period ending 1890 must be "
+                                            rf"positive, got {value!r}$"):
+            PopulationRecord(1890, value)
 
 
 def test_record_behaves_as_a_frozen_dataclass():

@@ -5,14 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eragreats import (
-    DataError,
-    DomainError,
-    PlayerEntry,
-    RankedList,
-    count_early,
-    load_ranked_list,
-)
+from eragreats import DataError, DomainError, RankedList, load_ranked_list
+from eragreats.rankings import PlayerEntry, count_early
 
 
 def make_list(years, source="test"):

@@ -3,9 +3,10 @@
 Subcommands mirror the library: ``proportion``, ``tail``, ``analyze``,
 ``sensitivity``, ``bridge``, ``dilution``, ``detrend``.  The last two run
 their own modules, whose names the package root does not list; the
-``detrend`` career total is ``detrend.detrend_career``.  All output is
-deterministic byte-for-byte for a given invocation: fixed column orders,
-fixed float rendering, no timestamps, no hash-order iteration.  The
+``detrend`` career total is the sum ``detrend.detrend_career`` takes, over
+the detrended values the rows print, each season detrended once.  All
+output is deterministic byte-for-byte for a given invocation: fixed column
+orders, fixed float rendering, no timestamps, no hash-order iteration.  The
 output text of each report command (``analyze``, ``sensitivity``,
 ``bridge``) is kept per process, keyed on its arguments and parsed inputs
 (``_report_text``), so a repeated command over the same file bytes is one
@@ -343,7 +344,7 @@ def _cmd_dilution(args) -> str:
 
 
 def _cmd_detrend(args) -> str:
-    from .detrend import compute_historic_average, detrend_career, detrend_value, load_season_stats
+    from .detrend import _career_sum, compute_historic_average, detrend_value, load_season_stats
 
     stats = load_season_stats(args.stats)
     if args.historic_average is not None:
@@ -355,7 +356,7 @@ def _cmd_detrend(args) -> str:
          "detrended": detrend_value(s.value, s.league_average, historic)}
         for s in stats
     ]
-    total = detrend_career(stats, historic)
+    total = _career_sum([row["detrended"] for row in rows])
     if args.format == "json":
         return _emit({"historic_average": historic, "seasons": rows, "career_total": total},
                      "json")

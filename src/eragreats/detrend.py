@@ -105,9 +105,13 @@ def detrend_career(stats: Sequence[SeasonStat], historic_average: float | None =
         raise DomainError("career detrending needs at least one season")
     if historic_average is None:
         historic_average = compute_historic_average(s.league_average for s in stats)
-    seasons = [detrend_value(s.value, s.league_average, historic_average) for s in stats]
+    return _career_sum([detrend_value(s.value, s.league_average, historic_average) for s in stats])
+
+
+def _career_sum(detrended: list[float]) -> float:
+    """The exact sum of already detrended season values, rounded once."""
     try:
-        return _exact_sum(seasons) / _UNITS
+        return _exact_sum(detrended) / _UNITS
     except OverflowError:
         raise DomainError("career total overflows a double") from None
 

@@ -12,15 +12,17 @@ is an integer over ``2**(e*n)``.  One of two paths gives the double:
   error bound, and the double is returned as soon as both ends of that
   bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160, 320,
   640.  The first term comes from floored tables of ``m!`` and ``1/m!``,
-  built once per process on its first fixed-point tail, and truncated
-  powers;
+  built once per process on the first tail that needs them, and from one
+  truncated power chain;
 - **the exact side sum**: the shorter side of the tail is summed exactly
   by Horner's rule and divided once.  It runs first when that side has
   few terms of few bits, and last when even P = 640 cannot decide the
   rounding.
 
-A tail whose union bound ``C(n, k_min) * p**k_min`` lies under ``2**-1076``
-is returned as 0.0 without summing: it rounds to zero in any case.
+Two shortcuts return without summing.  Above the mode, a tail whose
+union bound ``C(n, k_min) * p**k_min`` lies under ``2**-1076`` is 0.0: it
+rounds to zero in any case.  Below it, a tail whose lower tail is bounded
+under ``2**-55`` is 1.0: it rounds to one in any case.
 
 "1 in N" is always the exact reciprocal of the probability, taken from
 its integer ratio and rounded half up in integer arithmetic, so every
@@ -45,6 +47,9 @@ MAX_TRIALS = 1000
 # C(n, k): it lies under the exact log by less than 2**-600, so a tail it
 # cuts to 0.0 is still under 2**-1075
 _ZERO_EXP_BOUND = -1076.0
+# a tail whose lower tail is at or under 2**-54 rounds to 1.0 (the tie at
+# 1 - 2**-54 goes to even, 1.0); one more bit, as for _ZERO_EXP_BOUND
+_ONE_EXP_BOUND = -55.0
 # an exact side sum costs about (terms) * (bits per term); under this
 # product it is cheaper than a fixed-point pass
 _EXACT_SUM_BITS = 4000
@@ -91,6 +96,28 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
       its first ratio ``(k - 1) c / ((n - k + 2) a)`` is under 1 because
       ``(n - k) a > (k + 1) c``.  U is ``1 - L``, free of cancellation.
 
+    *Shortcuts.*  Before the pass, a bound ``C(n, f) * 2**r`` on one side
+    settles tails that round to 0.0 or 1.0 whatever the sum:
+
+    - above the mode, the union bound ``U <= C(n, k) p**k``.  Under
+      ``2**-1076`` (``_ZERO_EXP_BOUND``) it returns 0.0, as U is then
+      under half the smallest denormal;
+    - below it, ``rho_j > 1`` for every ``j <= k``, since rho falls with j
+      and ``rho_k = (n - k) a / ((k + 1) c) > 1``.  So ``t_0 < ... <
+      t_{k-1}`` and ``L <= k t_{k-1} = k C(n, k - 1) p**(k-1) q**(n-k+1)``,
+      with ``log2 q = log2 c - e`` taken from the exact c.  Under
+      ``2**-55`` (``_ONE_EXP_BOUND``) it returns 1.0: ``L <= 2**-54`` puts
+      U in ``[1 - 2**-54, 1]``, and ``1 - 2**-54`` is the midpoint of
+      ``1 - 2**-53`` and 1.0, a tie that goes to even, 1.0.
+
+    Each bound is tried with ``C(n, f) <= 2**n`` first.  When that leaves
+    it at or over the cut, ``C(n, f) >= 2**min(f, n - f)`` (each factor of
+    ``prod_{i <= m} (n - m + i) / i`` is at least 2 for ``m <= n - m``)
+    tells whether the exact coefficient can bring it under; only then is
+    the log of ``n! / f! / (n - f)!`` taken from the floored tables, under
+    the exact log by less than 2**-600.  The one bit under each cut
+    absorbs that and the rounding of the float logs.
+
     ``_fixed_sum`` takes the terms in units of ``2**-F``: F puts the first
     term in [2**P, 2**(P+1)) units for U, and is P + 2 for L, since U >=
     1/2 there.  Every step rounds down, so each computed term T_i is at
@@ -98,19 +125,28 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     exact one.  With W = P + 20 and ``delta = 2**(1 - W)``:
 
     1. *Floored factors.*  A floor to w bits keeps a factor in
-       ``(1 - 2**(1 - w), 1]``.  ``x**m`` is taken by squaring, the base
-       and each product floored to W bits; induction over the binary
-       digits of m counts at most 2m - 1 such factors, 2n - 2 over the two
-       powers.  C(n, f) is the product of three entries of
-       ``_factorial_tables``, ``n!``, ``1/f!`` and ``1/(n - f)!``, each
-       floored once more to W bits: three floors.  An entry is at most its
-       exact value, under it by at most n (for ``n!``) or
-       ``MAX_TRIALS + 1 - m`` (for ``1/m!``) floors of
+       ``(1 - 2**(1 - w), 1]``.  ``x**f y**g``, g = n - f, is one chain
+       over the s binary digits of ``h = max(f, g)``.  x, y and, when f
+       and g share a 1 digit, the product of the floored x and y are
+       floored to W bits.  Each digit pair squares the running product (1
+       at the start), multiplies it by x, y or x*y as the pair says and
+       floors it to W bits, which the first pair's product never needs.
+       That is at most ``s + 2 <= bit_length(n) + 2`` floors, but a floor
+       made r squarings before the end enters the power ``2**r`` times:
+       x's floor f times, y's g times, x*y's ``f & g <= min(f, g)`` times
+       and the floors after the digit pairs ``2**(s-1) - 1 <= h - 1``
+       times together.  So the power holds at most
+       ``f + g + min(f, g) + max(f, g) - 1 = 2n - 1`` such factors, for
+       every ``n >= 1``, also when f or g is 0.  C(n, f) is the product of
+       three entries of ``_factorial_tables``, ``n!``, ``1/f!`` and
+       ``1/(n - f)!``, each floored once more to W bits: three floors.  An
+       entry is at most its exact value, under it by at most n (for
+       ``n!``) or ``MAX_TRIALS + 1 - m`` (for ``1/m!``) floors of
        ``delta_T = 2**(1 - _TABLE_WIDTH)``, 2002 over the three; as
        ``_TABLE_WIDTH >= W + 20``, ``2002 delta_T < 2**-9 delta``.  One
        more floor puts the first term in units, so
        ``T_0 >= tau_0 (1 - eps_0) - 1`` with
-       ``eps_0 <= (2n + 1) delta + 2002 delta_T < (2n + 2) delta``.
+       ``eps_0 <= (2n + 2) delta + 2002 delta_T < (2n + 3) delta``.
     2. *The ratio.*  ``R = floor(x 2**Q / y) >= 2**(W-1)`` by the choice
        of Q, so R lies under ``x 2**Q / y`` by a factor ``1 - eta`` with
        ``eta < 1 / R <= delta``.  The loop never divides by y.
@@ -119,7 +155,7 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
        ``// (j + 1)`` is one floor; it exceeds ``T_i rho_j (1 - eta) - 1``
        and ``rho_j <= 1``, so by induction
        ``T_i >= tau_i (1 - rel) - (i + 1)`` with ``rel = eps_0 + n eta``.
-       So ``rel < (3n + 2) delta``, and as ``3n + 2 <= 3002 < 3 * 2**10``,
+       So ``rel < (3n + 3) delta``, and as ``3n + 3 <= 3003 < 3 * 2**10``,
        ``rel < 3 * 2**(11 - W) < 2**(-P - 7)``.
     4. *Early stop.*  The sum stops at the first T_i that floors to 0, or
        after j = n.  A zero T_i gives ``tau_i <= (i + 1) / (1 - rel) <
@@ -152,20 +188,33 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     if (n - k_min + 1 if n - k_min < k_min else k_min) * bits <= _EXACT_SUM_BITS:
         return _exact_side(n, k_min, a, c, bits)
     log2_p = math.log2(p)
-    # C(n, k_min) <= 2**n bounds the union bound below without a coefficient
+    # the union bound with C(n, k_min) <= 2**n needs neither the tables nor
+    # the side test: below the mode U >= 1/2 is never under the cut
     if n + k_min * log2_p < _ZERO_EXP_BOUND:
         return 0.0
     upper = (n - k_min) * a <= (k_min + 1) * c
     first, x, y = (k_min, a, c) if upper else (n - k_min + 1, c, a)
+    # the side's bound is C(n, first) * 2**log2_rest, and under the cut the
+    # tail rounds to the shortcut's value
     if upper:
-        # union bound: P(X >= k_min) <= C(n, k_min) * p**k_min, C(n, k_min)
-        # floored to n! / k_min! / (n - k_min)! from the tables
+        log2_rest, cut, shortcut = k_min * log2_p, _ZERO_EXP_BOUND, 0.0
+    else:
+        log2_q = math.log2(c) - e
+        log2_rest = math.log2(k_min) + (k_min - 1) * log2_p + first * log2_q
+        cut, shortcut = _ONE_EXP_BOUND, 1.0
+        # C(n, first) <= 2**n, as for the union bound
+        if n + log2_rest < cut:
+            return 1.0
+    # C(n, first) >= 2**min(first, last), with last = n - first: the tables
+    # are read only for a bound that this leaves under the cut
+    last = n - first
+    if (first if first < last else last) + log2_rest < cut:
+        # C(n, first) floored to n! / first! / last! from the tables
         factorials, reciprocals = _factorial_tables()
-        (f, f_exp), (g, g_exp) = factorials[n], reciprocals[k_min]
-        h, h_exp = reciprocals[n - k_min]
+        (f, f_exp), (g, g_exp), (h, h_exp) = factorials[n], reciprocals[first], reciprocals[last]
         log2_coeff = math.log2(f) + math.log2(g) + math.log2(h) + (f_exp + g_exp + h_exp)
-        if log2_coeff + k_min * log2_p < _ZERO_EXP_BOUND:
-            return 0.0
+        if log2_coeff + log2_rest < cut:
+            return shortcut
     for precision in _PRECISIONS:
         total, error, scale = _fixed_sum(n, first, x, y, e, precision, upper)
         if upper:
@@ -223,25 +272,51 @@ def _fixed_sum(
 
     The ratio of successive terms must be at most 1 from ``first`` on.  The
     first term is ``n! / first! / (n - first)!`` from the floored factorial
-    tables times the truncated powers, every factor floored to the pass's
-    width.  F puts the first term at ``precision + 1`` bits when
-    ``relative``, and is ``precision + 2`` otherwise.  See ``binomial_tail``
-    for the proof of the bound.
+    tables times ``x**first * y**(n - first)`` from one floored power
+    chain, every factor floored to the pass's width.  F puts the first term
+    at ``precision + 1`` bits when ``relative``, and is ``precision + 2``
+    otherwise.  See ``binomial_tail`` for the proof of the bound.
     """
     width = precision + _GUARD
     factorials, reciprocals = _factorial_tables()
+    last = n - first
     head, exponent = 1, -e * n
-    for bits, exp in (factorials[n], reciprocals[first], reciprocals[n - first]):
+    for bits, exp in (factorials[n], reciprocals[first], reciprocals[last]):
         excess = bits.bit_length() - width
         if excess > 0:
             bits >>= excess
             exp += excess
         head *= bits
         exponent += exp
-    x_bits, x_exp = _floored_power(x, first, width)
-    y_bits, y_exp = _floored_power(y, n - first, width)
-    head *= x_bits * y_bits
-    exponent += x_exp + y_exp
+    # x**first * y**last by one left-to-right chain over the binary digits
+    # of both exponents (Straus/Shamir): per digit pair, square, then
+    # multiply by x, y or the floored x*y, and floor once to width bits
+    x_bits, x_shift = _floored(x, width)
+    y_bits, y_shift = _floored(y, width)
+    if first & last:
+        xy_bits, xy_shift = _floored(x_bits * y_bits, width)
+        xy_shift += x_shift + y_shift
+    size = (first if first > last else last).bit_length()
+    bits, exp = 1, 0
+    for x_digit, y_digit in zip(bin(first | 1 << size)[3:], bin(last | 1 << size)[3:]):
+        bits *= bits
+        exp += exp
+        if x_digit == "1":
+            if y_digit == "1":
+                bits *= xy_bits
+                exp += xy_shift
+            else:
+                bits *= x_bits
+                exp += x_shift
+        elif y_digit == "1":
+            bits *= y_bits
+            exp += y_shift
+        excess = bits.bit_length() - width
+        if excess > 0:
+            bits >>= excess
+            exp += excess
+    head *= bits
+    exponent += exp
     scale = precision + 1 - head.bit_length() - exponent if relative else precision + 2
     shift = exponent + scale
     term = head << shift if shift >= 0 else head >> -shift
@@ -249,11 +324,13 @@ def _fixed_sum(
     # where the loop takes no step
     q = max(0, width + y.bit_length() - x.bit_length())
     ratio = (x << q) // y
-    total, j = 0, first
+    # the factor (n - j) R steps down by R with j
+    total, j, factor = 0, first, last * ratio
     while term and j < n:
         total += term
-        term = (term * ((n - j) * ratio) >> q) // (j + 1)
         j += 1
+        term = (term * factor >> q) // j
+        factor -= ratio
     total += term
     i = j - first
     deficit = (i + 1) * (i + 2) // 2
@@ -274,7 +351,8 @@ def _factorial_tables() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, i
     ``m!`` is built upward and ``1/m!`` downward from an exact floor of
     ``1/MAX_TRIALS!``, by ``1/(m - 1)! = m / m!``: one floored product per
     step, each keeping a factor in ``(1 - delta_T, 1]``.  Built once per
-    process, on its first fixed-point tail.
+    process, on the first tail that needs them: for a shortcut's
+    coefficient or for a fixed-point pass.
     """
 
     def floored_products(bits: int, exp: int, factors: range) -> list[tuple[int, int]]:
@@ -296,26 +374,10 @@ def _factorial_tables() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, i
     return tuple(factorials), tuple(reversed(reciprocals))
 
 
-def _floored_power(x: int, m: int, width: int) -> tuple[int, int]:
-    """``(b, s)`` with ``b * 2**s`` in ``[x**m (1 - 2m 2**(1 - width)), x**m]``
-    and b at most ``width`` bits: left-to-right squaring, the base and each
-    step floored to ``width`` bits, at most 2m - 1 floors in all."""
-    if m == 0:
-        return 1, 0
-    base_shift = max(0, x.bit_length() - width)
-    base = x >> base_shift
-    bits, exp = base, base_shift
-    for digit in bin(m)[3:]:
-        bits *= bits
-        exp += exp
-        if digit == "1":
-            bits *= base
-            exp += base_shift
-        excess = bits.bit_length() - width
-        if excess > 0:
-            bits >>= excess
-            exp += excess
-    return bits, exp
+def _floored(bits: int, width: int) -> tuple[int, int]:
+    """``(b, s)``: ``bits`` floored to at most ``width`` bits, ``b * 2**s``."""
+    excess = bits.bit_length() - width
+    return (bits >> excess, excess) if excess > 0 else (bits, 0)
 
 
 def _to_double(num: int, scale: int) -> float:

@@ -814,6 +814,28 @@ def test_detrend_total_is_the_library_career_total(tmp_path):
         assert total.hex() == detrend_career(stats, historic).hex()
 
 
+def test_detrend_detrends_each_season_once(tmp_path, monkeypatch):
+    # the rows and the career total share one detrended value per season
+    from eragreats import detrend
+
+    seasons = tmp_path / "seasons.csv"
+    seasons.write_text("season,value,league_average\n" + "".join(
+        f"{1900 + i},{10 + i},{1 + i / 8}\n" for i in range(20)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return detrend_value(*args)
+
+    detrend_value = detrend.detrend_value
+    monkeypatch.setattr(detrend, "detrend_value", counted)
+    for fmt in ("table", "csv", "json"):
+        calls.clear()
+        code, stdout, _ = run_main(["detrend", str(seasons), "--format", fmt])
+        assert code == 0 and stdout
+        assert len(calls) == 20, fmt
+
+
 def test_report_grid_errors_match_the_per_cell_loop(tmp_path, monkeypatch):
     # each fault that the report grid finds, alone and behind another
     stray = tmp_path / "stray.csv"

@@ -185,13 +185,27 @@ def _broken_brackets(n, k, p, precisions):
     return broken
 
 
-@given(n=st.integers(1, MAX_TRIALS), p=P_FAMILIES, data=st.data())
-def test_fixed_point_bracket_holds_the_exact_side(n, p, data):
+@st.composite
+def trials_and_k(draw):
+    """``(n, k)`` with n in [1, MAX_TRIALS] and k in [1, n]."""
+    n = draw(st.integers(1, MAX_TRIALS))
+    return n, draw(st.integers(1, n))
+
+
+# at n = 2, 3 and 4 the power chain's floors are the most relative to n:
+# 53-bit x and y are floored at P = 4, and some digit pairs take x * y
+@given(nk=trials_and_k(), p=P_FAMILIES)
+@example(nk=(2, 1), p=0.1)
+@example(nk=(3, 2), p=0.7)
+@example(nk=(3, 1), p=0.9)
+@example(nk=(4, 2), p=1 / 3)
+@example(nk=(4, 1), p=0.9)
+def test_fixed_point_bracket_holds_the_exact_side(nk, p):
     # also at precisions far under the ones the kernel runs at (the proof
     # holds from P = 3), where every error term is relatively larger, and at
     # the widest pass, whose width is nearest the factorial tables' own
     assume(0.0 < p < 1.0)
-    k = data.draw(st.integers(1, n))
+    n, k = nk
     assert _broken_brackets(n, k, p, (4, 8, 80, 640)) == []
 
 
@@ -229,7 +243,9 @@ def test_factorial_tables_are_floored_within_their_proved_deficit():
 
 def test_factorial_tables_are_built_on_the_first_fixed_point_tail():
     # a one-shot command with no fixed-point tail builds no table (`tail`
-    # here takes the exact side sum); the first fixed-point tail builds it
+    # here takes the exact side sum), nor does a one shortcut that C <= 2**n
+    # settles; the first tail that needs them, here a fixed-point one,
+    # builds them
     script = """
 import contextlib, io
 from eragreats import binomial_tail, cli, tailprob
@@ -237,6 +253,7 @@ argvs = (["dilution"], ["proportion"], ["tail", "--n", "10", "--k", "6", "--p", 
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+assert binomial_tail(1000, 10, 1 - 2**-40) == 1.0
 sizes = [tailprob._factorial_tables.cache_info().currsize]
 binomial_tail(1000, 400, 0.3)
 sizes.append(tailprob._factorial_tables.cache_info().currsize)
@@ -262,6 +279,62 @@ def test_zero_shortcut_boundary_rounds_like_exact():
                 assert binomial_tail(n, k, p) == expected, (n, k, p)
                 outcomes.add(expected > 0.0)
     assert outcomes == {False, True}
+
+
+def _p_for_lower_bound(n, k, log2_bound):
+    """The p, near 1, at which the one shortcut's bound on the lower tail,
+    ``k * C(n, k - 1) * p**(k - 1) * (1 - p)**(n - k + 1)``, is about
+    ``2**log2_bound``: bisection on log2(1 - p), where the bound rises with
+    1 - p up to 1 - (k - 1) / n."""
+    log2_head = math.log2(k * math.comb(n, k - 1))
+
+    def log2_of_bound(log2_q):
+        q = 2.0**log2_q
+        return log2_head + (k - 1) * math.log2(1.0 - q) + (n - k + 1) * log2_q
+
+    low, high = -53.0, math.log2(1.0 - (k - 1) / n)
+    for _ in range(60):
+        middle = (low + high) / 2
+        low, high = (middle, high) if log2_of_bound(middle) < log2_bound else (low, middle)
+    return 1.0 - 2.0**low
+
+
+def test_one_shortcut_boundary_rounds_like_exact():
+    # p puts the lower side's bound in [2**-60, 2**-48], on both sides of
+    # the 2**-55 cut: results must split between 1.0 and the doubles under
+    # it exactly as the exact tail rounds
+    outcomes = set()
+    for n in (2, 3, 5, 30, 200, 1000):
+        for k in sorted({1, 2, n // 4, n // 2, n - n // 4, n - 1} - {0, n}):
+            for bound in range(-60, -47):
+                p = _p_for_lower_bound(n, k, bound)
+                a, den = p.as_integer_ratio()
+                # below the mode, where the lower tail is summed
+                assert (n - k) * a > (k + 1) * (den - a), (n, k, p)
+                expected = exact_binomial_tail_as_double(n, k, p)
+                assert binomial_tail(n, k, p) == expected, (n, k, p)
+                outcomes.add(expected < 1.0)
+    assert outcomes == {False, True}
+
+
+def test_one_shortcut_takes_no_fixed_point_pass(monkeypatch):
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return fixed_sum(*args)
+
+    fixed_sum = tailprob._fixed_sum
+    monkeypatch.setattr(tailprob, "_fixed_sum", counted)
+    # a bound under 2**-55 with C(n, k - 1) <= 2**n, and one that needs the
+    # floored coefficient from the tables (log2 of it about -59)
+    assert binomial_tail(1000, 10, 1 - 2**-40) == 1.0
+    assert binomial_tail(1000, 999, 1 - 2**-44) == 1.0
+    assert passes == []
+    # log2 of the bound about -53: a pass decides, and the tail still rounds
+    # to 1.0
+    assert binomial_tail(1000, 999, 1 - 2**-41) == 1.0
+    assert len(passes) == 1
 
 
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0, allow_nan=False), data=st.data())

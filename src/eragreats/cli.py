@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_depths(p)
     _add_weights(p, regime=True)
     _add_format(p)
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("sensitivity", help="reports across every weighting regime")
     _add_population(p)
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff(p)
     _add_depths(p)
     _add_format(p)
-    p.set_defaults(handler=_cmd_sensitivity)
+    p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("bridge", help="recompute reported results against a truncated pool")
     _add_population(p)
@@ -226,12 +226,6 @@ def _pick_regime(args, regimes):
     return regimes[args.regime]
 
 
-def _ranked_lists(args, load_ranked_list):
-    if args.lists:
-        return [load_ranked_list(path) for path in args.lists]
-    return default_ranked_lists()
-
-
 def _cmd_proportion(args) -> str:
     from .population import cumulative_proportion, load_population_table, load_weight_regimes
 
@@ -258,27 +252,20 @@ def _cmd_tail(args) -> str:
     return _emit([row], args.format)
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_grid(args) -> str:
+    """``sensitivity``: every regime, led by a regime column; ``analyze``:
+    the ``--regime`` one, or none."""
     from .analysis import sensitivity_matrix
     from .population import load_population_table, load_weight_regimes
     from .rankings import load_ranked_list
 
     table = load_population_table(args.population)
-    regime = _pick_regime(args, load_weight_regimes(args.weights))
-    lists = _ranked_lists(args, load_ranked_list)
-    return _report_text(args, (table, regime, *lists), False, lambda: sensitivity_matrix(
-        lists, [regime], args.depths, args.cutoff, table))
-
-
-def _cmd_sensitivity(args) -> str:
-    from .analysis import sensitivity_matrix
-    from .population import load_population_table, load_weight_regimes
-    from .rankings import load_ranked_list
-
-    table = load_population_table(args.population)
-    regimes = list(load_weight_regimes(args.weights).values())
-    lists = _ranked_lists(args, load_ranked_list)
-    return _report_text(args, (table, *regimes, *lists), True, lambda: sensitivity_matrix(
+    named = load_weight_regimes(args.weights)
+    every = args.command == "sensitivity"
+    regimes = list(named.values()) if every else [_pick_regime(args, named)]
+    lists = ([load_ranked_list(path) for path in args.lists] if args.lists
+             else default_ranked_lists())
+    return _report_text(args, (table, *regimes, *lists), every, lambda: sensitivity_matrix(
         lists, regimes, args.depths, args.cutoff, table))
 
 

@@ -138,10 +138,11 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
        times together.  So the power holds at most
        ``f + g + min(f, g) + max(f, g) - 1 = 2n - 1`` such factors, for
        every ``n >= 1``, also when f or g is 0.  C(n, f) is the product of
-       three entries of ``_factorial_tables``, ``n!``, ``1/f!`` and
-       ``1/(n - f)!``, each floored once more to W bits: three floors.  An
-       entry is at most its exact value, under it by at most n (for
-       ``n!``) or ``MAX_TRIALS + 1 - m`` (for ``1/m!``) floors of
+       the three entries of ``_factorial_tables`` that ``binomial_tail``
+       reads once per tail, ``n!``, ``1/f!`` and ``1/(n - f)!``, each
+       floored once more to W bits: three floors.  An entry is at most its
+       exact value, under it by at most n (for ``n!``) or
+       ``MAX_TRIALS + 1 - m`` (for ``1/m!``) floors of
        ``delta_T = 2**(1 - _TABLE_WIDTH)``, 2002 over the three; as
        ``_TABLE_WIDTH >= W + 20``, ``2002 delta_T < 2**-9 delta``.  One
        more floor puts the first term in units, so
@@ -187,36 +188,33 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     # than this test on every call)
     if (n - k_min + 1 if n - k_min < k_min else k_min) * bits <= _EXACT_SUM_BITS:
         return _exact_side(n, k_min, a, c, bits)
-    log2_p = math.log2(p)
-    # the union bound with C(n, k_min) <= 2**n needs neither the tables nor
-    # the side test: below the mode U >= 1/2 is never under the cut
-    if n + k_min * log2_p < _ZERO_EXP_BOUND:
-        return 0.0
     upper = (n - k_min) * a <= (k_min + 1) * c
-    first, x, y = (k_min, a, c) if upper else (n - k_min + 1, c, a)
+    log2_p = math.log2(p)
     # the side's bound is C(n, first) * 2**log2_rest, and under the cut the
     # tail rounds to the shortcut's value
     if upper:
+        first, x, y = k_min, a, c
         log2_rest, cut, shortcut = k_min * log2_p, _ZERO_EXP_BOUND, 0.0
     else:
-        log2_q = math.log2(c) - e
-        log2_rest = math.log2(k_min) + (k_min - 1) * log2_p + first * log2_q
+        first, x, y = n - k_min + 1, c, a
+        log2_rest = math.log2(k_min) + (k_min - 1) * log2_p + first * (math.log2(c) - e)
         cut, shortcut = _ONE_EXP_BOUND, 1.0
-        # C(n, first) <= 2**n, as for the union bound
-        if n + log2_rest < cut:
-            return 1.0
-    # C(n, first) >= 2**min(first, last), with last = n - first: the tables
-    # are read only for a bound that this leaves under the cut
+    # C(n, first) <= 2**n
+    if n + log2_rest < cut:
+        return shortcut
+    # C(n, first) floored to n! / first! / last!, for the logs and the passes
     last = n - first
+    factorials, reciprocals = _factorial_tables()
+    coeff = factorials[n], reciprocals[first], reciprocals[last]
+    # C(n, first) >= 2**min(first, last): the logs are taken only for a
+    # bound that this leaves under the cut
     if (first if first < last else last) + log2_rest < cut:
-        # C(n, first) floored to n! / first! / last! from the tables
-        factorials, reciprocals = _factorial_tables()
-        (f, f_exp), (g, g_exp), (h, h_exp) = factorials[n], reciprocals[first], reciprocals[last]
+        (f, f_exp), (g, g_exp), (h, h_exp) = coeff
         log2_coeff = math.log2(f) + math.log2(g) + math.log2(h) + (f_exp + g_exp + h_exp)
         if log2_coeff + log2_rest < cut:
             return shortcut
     for precision in _PRECISIONS:
-        total, error, scale = _fixed_sum(n, first, x, y, e, precision, upper)
+        total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
         if upper:
             low, high = total, total + error
         else:
@@ -265,23 +263,22 @@ def _exact_side(n: int, k_min: int, a: int, c: int, bits: int) -> float:
 
 
 def _fixed_sum(
-    n: int, first: int, x: int, y: int, e: int, precision: int, relative: bool
+    n: int, first: int, coeff: tuple, x: int, y: int, e: int, precision: int, relative: bool
 ) -> tuple[int, int, int]:
     """``(S, E, F)``: the side ``sum_{j >= first} C(n, j) x**j y**(n-j) / 2**(e*n)``
     lies in ``[S, S + E] / 2**F``.
 
     The ratio of successive terms must be at most 1 from ``first`` on.  The
-    first term is ``n! / first! / (n - first)!`` from the floored factorial
-    tables times ``x**first * y**(n - first)`` from one floored power
-    chain, every factor floored to the pass's width.  F puts the first term
-    at ``precision + 1`` bits when ``relative``, and is ``precision + 2``
-    otherwise.  See ``binomial_tail`` for the proof of the bound.
+    first term is ``coeff``, the table entries of ``n!``, ``1/first!`` and
+    ``1/(n - first)!``, times ``x**first * y**(n - first)`` from one floored
+    power chain, every factor floored to the pass's width.  F puts the
+    first term at ``precision + 1`` bits when ``relative``, and is
+    ``precision + 2`` otherwise.  See ``binomial_tail`` for the proof.
     """
     width = precision + _GUARD
-    factorials, reciprocals = _factorial_tables()
     last = n - first
     head, exponent = 1, -e * n
-    for bits, exp in (factorials[n], reciprocals[first], reciprocals[last]):
+    for bits, exp in coeff:
         excess = bits.bit_length() - width
         if excess > 0:
             bits >>= excess
@@ -291,11 +288,10 @@ def _fixed_sum(
     # x**first * y**last by one left-to-right chain over the binary digits
     # of both exponents (Straus/Shamir): per digit pair, square, then
     # multiply by x, y or the floored x*y, and floor once to width bits
-    x_bits, x_shift = _floored(x, width)
-    y_bits, y_shift = _floored(y, width)
+    x_bits, x_shift = _floored(x, 0, width)
+    y_bits, y_shift = _floored(y, 0, width)
     if first & last:
-        xy_bits, xy_shift = _floored(x_bits * y_bits, width)
-        xy_shift += x_shift + y_shift
+        xy_bits, xy_shift = _floored(x_bits * y_bits, x_shift + y_shift, width)
     size = (first if first > last else last).bit_length()
     bits, exp = 1, 0
     for x_digit, y_digit in zip(bin(first | 1 << size)[3:], bin(last | 1 << size)[3:]):
@@ -374,10 +370,10 @@ def _factorial_tables() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, i
     return tuple(factorials), tuple(reversed(reciprocals))
 
 
-def _floored(bits: int, width: int) -> tuple[int, int]:
-    """``(b, s)``: ``bits`` floored to at most ``width`` bits, ``b * 2**s``."""
+def _floored(bits: int, exp: int, width: int) -> tuple[int, int]:
+    """``(b, s)``: ``bits * 2**exp`` floored to ``width``-bit ``bits``, ``b * 2**s``."""
     excess = bits.bit_length() - width
-    return (bits >> excess, excess) if excess > 0 else (bits, 0)
+    return (bits >> excess, exp + excess) if excess > 0 else (bits, exp)
 
 
 def _to_double(num: int, scale: int) -> float:

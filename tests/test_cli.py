@@ -397,6 +397,23 @@ def test_sensitivity_covers_every_regime():
     assert len(lines) == 33
     assert lines[1].startswith("w1,ranker,10,7,0.211,")
     assert lines[32] == "w4,espn,25,11,0.275,0.0561,1 in 18"
+    # `analyze --regime R` prints exactly sensitivity's rows for R, less
+    # the regime column, for every bundled regime and in csv and json
+    regimes = [line.split(",")[0] for line in lines[1::8]]
+    assert regimes == ["w1", "w2", "w3", "w4"]
+    code, stdout, stderr = run_main(["sensitivity", "--format", "json"])
+    assert (code, stderr) == (0, "")
+    rows = json.loads(stdout)
+    for regime in regimes:
+        code, csv_out, stderr = run_main(["analyze", "--regime", regime, "--format", "csv"])
+        assert (code, stderr) == (0, "")
+        assert csv_out.splitlines() == [lines[0].partition(",")[2]] + [
+            line.partition(",")[2] for line in lines[1:] if line.startswith(regime + ",")]
+        code, json_out, stderr = run_main(["analyze", "--regime", regime, "--format", "json"])
+        assert (code, stderr) == (0, "")
+        assert json_out == json.dumps([
+            {column: value for column, value in row.items() if column != "regime"}
+            for row in rows if row["regime"] == regime], indent=2) + "\n"
 
 
 def test_bridge_golden_csv():

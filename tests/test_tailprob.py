@@ -172,12 +172,14 @@ def _broken_brackets(n, k, p, precisions):
     c = den - a
     upper = (n - k) * a <= (k + 1) * c
     first, x, y = (k, a, c) if upper else (n - k + 1, c, a)
+    factorials, reciprocals = tailprob._factorial_tables()
+    coeff = factorials[n], reciprocals[first], reciprocals[n - first]
     tail, whole = _tail_ratio(n, k, p)
     side = tail if upper else whole - tail
     broken = []
     for precision in precisions:
         total, error, scale = tailprob._fixed_sum(
-            n, first, x, y, den.bit_length() - 1, precision, upper
+            n, first, coeff, x, y, den.bit_length() - 1, precision, upper
         )
         # S <= side / whole * 2**F <= S + E, in integers
         if not total * whole <= side << scale <= (total + error) * whole:
@@ -335,6 +337,35 @@ def test_one_shortcut_takes_no_fixed_point_pass(monkeypatch):
     # to 1.0
     assert binomial_tail(1000, 999, 1 - 2**-41) == 1.0
     assert len(passes) == 1
+
+
+def test_a_tail_reads_the_factorial_tables_once(monkeypatch):
+    lookups = []
+
+    def counted():
+        lookups.append(None)
+        return factorial_tables()
+
+    factorial_tables = tailprob._factorial_tables
+    monkeypatch.setattr(tailprob, "_factorial_tables", counted)
+    cases = {
+        # the floored coefficient's log leaves the one shortcut's bound
+        # over the cut, and one fixed-point pass decides
+        (1000, 999, 1 - 2**-41): 1,
+        # C(n, k) >= 2**min(k, n - k) keeps the union bound over the cut;
+        # all four passes run, then the exact side sum
+        (1000, 1, 8.745614198645258e-272): 1,
+        # one pass, well clear of both cuts
+        (1000, 400, 0.3): 1,
+        # a one shortcut that C <= 2**n settles
+        (1000, 10, 1 - 2**-40): 0,
+    }
+    counts = {}
+    for args in cases:
+        start = len(lookups)
+        binomial_tail(*args)
+        counts[args] = len(lookups) - start
+    assert counts == cases
 
 
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0, allow_nan=False), data=st.data())

@@ -373,6 +373,8 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
         names.extend(stripped[1:])
         if len(set(names)) != len(names):
             raise DataError("duplicate regime names in header")
+        if "" in names:
+            raise DataError("blank regime name in header")
         return (int, *[finite] * len(names))
 
     def build(rows):

@@ -42,10 +42,7 @@ from .formatting import half_up
 MAX_TRIALS = 1000
 
 # a tail at or under 2**-1075 rounds to 0.0 (ties to even); one more bit
-# absorbs the rounding of the logs that bound it.  The coefficient's log
-# comes from the floored factorial tables, which lose under 2**-668 of
-# C(n, k): it lies under the exact log by less than 2**-600, so a tail it
-# cuts to 0.0 is still under 2**-1075
+# absorbs the rounding of the logs that bound it
 _ZERO_EXP_BOUND = -1076.0
 # a tail whose lower tail is at or under 2**-54 rounds to 1.0 (the tie at
 # 1 - 2**-54 goes to even, 1.0); one more bit, as for _ZERO_EXP_BOUND
@@ -110,13 +107,8 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
       U in ``[1 - 2**-54, 1]``, and ``1 - 2**-54`` is the midpoint of
       ``1 - 2**-53`` and 1.0, a tie that goes to even, 1.0.
 
-    Each bound is tried with ``C(n, f) <= 2**n`` first.  When that leaves
-    it at or over the cut, ``C(n, f) >= 2**min(f, n - f)`` (each factor of
-    ``prod_{i <= m} (n - m + i) / i`` is at least 2 for ``m <= n - m``)
-    tells whether the exact coefficient can bring it under; only then is
-    the log of ``n! / f! / (n - f)!`` taken from the floored tables, under
-    the exact log by less than 2**-600.  The one bit under each cut
-    absorbs that and the rounding of the float logs.
+    Each bound takes ``C(n, f) <= 2**n``; the one bit under each cut
+    absorbs the rounding of the float logs.
 
     ``_fixed_sum`` takes the terms in units of ``2**-F``: F puts the first
     term in [2**P, 2**(P+1)) units for U, and is P + 2 for L, since U >=
@@ -202,17 +194,9 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     # C(n, first) <= 2**n
     if n + log2_rest < cut:
         return shortcut
-    # C(n, first) floored to n! / first! / last!, for the logs and the passes
-    last = n - first
+    # C(n, first) floored to n! / first! / (n - first)!, for the passes
     factorials, reciprocals = _factorial_tables()
-    coeff = factorials[n], reciprocals[first], reciprocals[last]
-    # C(n, first) >= 2**min(first, last): the logs are taken only for a
-    # bound that this leaves under the cut
-    if (first if first < last else last) + log2_rest < cut:
-        (f, f_exp), (g, g_exp), (h, h_exp) = coeff
-        log2_coeff = math.log2(f) + math.log2(g) + math.log2(h) + (f_exp + g_exp + h_exp)
-        if log2_coeff + log2_rest < cut:
-            return shortcut
+    coeff = factorials[n], reciprocals[first], reciprocals[n - first]
     for precision in _PRECISIONS:
         total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
         if upper:
@@ -347,8 +331,7 @@ def _factorial_tables() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, i
     ``m!`` is built upward and ``1/m!`` downward from an exact floor of
     ``1/MAX_TRIALS!``, by ``1/(m - 1)! = m / m!``: one floored product per
     step, each keeping a factor in ``(1 - delta_T, 1]``.  Built once per
-    process, on the first tail that needs them: for a shortcut's
-    coefficient or for a fixed-point pass.
+    process, on the first tail that takes a fixed-point pass.
     """
 
     def floored_products(bits: int, exp: int, factors: range) -> list[tuple[int, int]]:

@@ -276,6 +276,11 @@ def test_bridge_validates_inputs(table):
         bridge_check([(10, 11)], 1999, 1950, table)
     with pytest.raises(DomainError):
         bridge_check([(10, 6)], 2300, 1950, table)
+    for cutoff in ("1999", 1999.0):
+        with pytest.raises(DomainError):
+            bridge_check([(10, 6)], cutoff, 1950, table)
+        with pytest.raises(DomainError):
+            bridge_check([(10, 6)], 1999, cutoff, table)
 
 
 def bridge_pairs():

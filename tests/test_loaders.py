@@ -116,6 +116,16 @@ def test_header_errors_quote_the_header_as_written(tmp_path, loader_name):
     assert str(excinfo.value) == f"{path}:1: expected header {spec!r}, got {written!r}"
 
 
+# a blank name is refused at the header, before a later row's fault
+@pytest.mark.parametrize("header", ["year,a,", "year, ,a"])
+def test_a_blank_regime_name_is_refused_at_the_header(tmp_path, header):
+    path = tmp_path / "weights.csv"
+    path.write_text(f"{header}\n1890,0.4,x\n")
+    with pytest.raises(DataError) as excinfo:
+        load_weight_regimes(path)
+    assert str(excinfo.value) == f"{path}:1: blank regime name in header"
+
+
 # a valid file per loader, as rows of cells, for the mutations to work on
 BASE_FILES = {
     "population": [["year", "population_millions", "period_length_years"],

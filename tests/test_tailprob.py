@@ -267,16 +267,21 @@ print(sizes)
 
 def test_zero_shortcut_boundary_rounds_like_exact():
     # p puts the union bound log2(C(n, k) * p**k) in [-1080, -1070], on
-    # both sides of the 2**-1076 cut: results must split between 0.0 and
-    # the smallest denormals exactly as the exact tail rounds
+    # both sides of the 2**-1076 cut, and so does the bound the shortcut
+    # tests, n + k log2(p) with C(n, k) <= 2**n: results must split between
+    # 0.0 and the smallest denormals exactly as the exact tail rounds
     outcomes = set()
     for n in (1, 2, 5, 30, 200, 1000):
         for k in sorted({n, n - 1, n - n // 4, n // 2} - {0}):
             log_comb = math.log2(math.comb(n, k))
-            for bound in range(-1080, -1069):
-                p = 2.0 ** ((bound - log_comb) / k)
+            ps = [2.0 ** ((bound - log_comb) / k) for bound in range(-1080, -1069)]
+            ps += [2.0 ** ((-1076 + bits - n) / k) for bits in range(-4, 5)]
+            for p in ps:
                 if p == 0.0:
                     continue
+                a, den = p.as_integer_ratio()
+                # above the mode, where the tail itself is summed
+                assert (n - k) * a <= (k + 1) * (den - a), (n, k, p)
                 expected = exact_binomial_tail_as_double(n, k, p)
                 assert binomial_tail(n, k, p) == expected, (n, k, p)
                 outcomes.add(expected > 0.0)
@@ -303,12 +308,21 @@ def _p_for_lower_bound(n, k, log2_bound):
 
 def test_one_shortcut_boundary_rounds_like_exact():
     # p puts the lower side's bound in [2**-60, 2**-48], on both sides of
-    # the 2**-55 cut: results must split between 1.0 and the doubles under
-    # it exactly as the exact tail rounds
+    # the 2**-55 cut, and so does the bound the shortcut tests, with
+    # C(n, k - 1) <= 2**n: results must split between 1.0 and the doubles
+    # under it exactly as the exact tail rounds
     outcomes = set()
     for n in (2, 3, 5, 30, 200, 1000):
         for k in sorted({1, 2, n // 4, n // 2, n - n // 4, n - 1} - {0, n}):
-            for bound in range(-60, -47):
+            bounds = list(range(-60, -47))
+            # C(n, k - 1) taken as 2**n raises the bound n - log2 C(n, k - 1)
+            # bits: nine more put that within 4 bits of the cut, where some
+            # p < 1 can (at k = n - 1 and n >= 200 even p = 1 - 2**-53 leaves
+            # it far over)
+            if n + math.log2(k) - 53 * (n - k + 1) < -59:
+                log_comb = math.log2(math.comb(n, k - 1))
+                bounds += [-55 + bits - n + log_comb for bits in range(-4, 5)]
+            for bound in bounds:
                 p = _p_for_lower_bound(n, k, bound)
                 a, den = p.as_integer_ratio()
                 # below the mode, where the lower tail is summed
@@ -328,44 +342,47 @@ def test_one_shortcut_takes_no_fixed_point_pass(monkeypatch):
 
     fixed_sum = tailprob._fixed_sum
     monkeypatch.setattr(tailprob, "_fixed_sum", counted)
-    # a bound under 2**-55 with C(n, k - 1) <= 2**n, and one that needs the
-    # floored coefficient from the tables (log2 of it about -59)
+    # a bound under 2**-55 with C(n, k - 1) <= 2**n
     assert binomial_tail(1000, 10, 1 - 2**-40) == 1.0
-    assert binomial_tail(1000, 999, 1 - 2**-44) == 1.0
     assert passes == []
-    # log2 of the bound about -53: a pass decides, and the tail still rounds
-    # to 1.0
-    assert binomial_tail(1000, 999, 1 - 2**-41) == 1.0
+    # with C(n, k - 1) <= 2**n the bound stays over the cut, though the exact
+    # one lies under it (log2 about -59) or not (about -53): one pass
+    # decides each, and the tail still rounds to 1.0
+    assert binomial_tail(1000, 999, 1 - 2**-44) == 1.0
     assert len(passes) == 1
+    assert binomial_tail(1000, 999, 1 - 2**-41) == 1.0
+    assert len(passes) == 2
 
 
-def test_a_tail_reads_the_factorial_tables_once(monkeypatch):
-    lookups = []
+def test_only_a_fixed_point_tail_reads_the_factorial_tables(monkeypatch):
+    calls = []
 
-    def counted():
-        lookups.append(None)
-        return factorial_tables()
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
 
-    factorial_tables = tailprob._factorial_tables
-    monkeypatch.setattr(tailprob, "_factorial_tables", counted)
-    cases = {
-        # the floored coefficient's log leaves the one shortcut's bound
-        # over the cut, and one fixed-point pass decides
-        (1000, 999, 1 - 2**-41): 1,
-        # C(n, k) >= 2**min(k, n - k) keeps the union bound over the cut;
-        # all four passes run, then the exact side sum
-        (1000, 1, 8.745614198645258e-272): 1,
-        # one pass, well clear of both cuts
-        (1000, 400, 0.3): 1,
-        # a one shortcut that C <= 2**n settles
-        (1000, 10, 1 - 2**-40): 0,
-    }
-    counts = {}
+        monkeypatch.setattr(tailprob, name, call)
+
+    counted("_factorial_tables", tailprob._factorial_tables)
+    counted("_fixed_sum", tailprob._fixed_sum)
+    # both shortcuts, each on both sides of its cut with C(n, f) <= 2**n and
+    # with the exact coefficient; passes well clear of the cuts; a tail the
+    # passes hand to the exact side sum; and an exact side sum run first
+    cases = [(1000, 999, 1 - 2**-m) for m in range(1, 54)]
+    cases += [(1000, 999, p) for p in (0.2, 0.3, 0.35, 0.48)]
+    cases += [(1000, 10, 1 - 2**-40), (1000, 400, 0.3), (1000, 1, 8.745614198645258e-272)]
+    cases += [(10, 6, 0.18696)]
+    kinds = set()
     for args in cases:
-        start = len(lookups)
+        del calls[:]
         binomial_tail(*args)
-        counts[args] = len(lookups) - start
-    assert counts == cases
+        reads, passes = calls.count("_factorial_tables"), calls.count("_fixed_sum")
+        # once for a tail that takes a pass, however many, and never for one
+        # that takes none
+        assert reads == (1 if passes else 0), (args, reads, passes)
+        kinds.add(reads)
+    assert kinds == {0, 1}
 
 
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0, allow_nan=False), data=st.data())
@@ -410,6 +427,10 @@ def test_rejects_out_of_domain_arguments():
         binomial_tail(10, 3, float("nan"))
     with pytest.raises(DomainError):
         binomial_tail(10.0, 3, 0.5)
+    with pytest.raises(DomainError):
+        binomial_tail(10, 3.0, 0.5)
+    with pytest.raises(DomainError):
+        binomial_tail(10, True, 0.5)
 
 
 # ------------------------------------------------------------- chances

@@ -8,9 +8,9 @@ pool (an exact binomial tail).
 
 Nothing is kept between calls: a grid is the loop over its cells, each
 cell checking its list's span, counting its early players and taking its
-tail, and each call takes one ``binomial_tail`` per distinct (depth,
-count, share).  The command line keeps each report command's output text
-(see ``cli``).
+tail, a bridge check the loop over its pairs' tails, and each call takes
+one ``binomial_tail`` per distinct (depth, count, share).  The command
+line keeps each report command's output text (see ``cli``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .population import (
     cumulative_proportion,
 )
 from .rankings import RankedList, count_early
-from .tailprob import Chance, _chance, _check_tail_args, binomial_tail
+from .tailprob import Chance, _chance, binomial_tail
 
 if TYPE_CHECKING:
     import numpy
@@ -68,10 +68,11 @@ def _report(source, depth, count, proportion, regime, chances) -> OverrepReport:
     """The report of one (source, count).  ``chances`` maps each (depth,
     count, share) already seen in the call to its ``Chance``, so each
     distinct one is one ``binomial_tail`` call, which checks its
-    arguments; a share is never NaN, so equal keys are equal shares."""
+    arguments; a share is never NaN, so equal keys are equal shares.  A
+    bool or float depth or count, equal to a seen int, is checked too."""
     key = depth, count, proportion
     chance = chances.get(key)
-    if chance is None:
+    if chance is None or type(depth) is not int or type(count) is not int:
         chance = chances[key] = _chance(binomial_tail(depth, count, proportion))
     # positional: keyword construction costs about 1.8 times as much
     return OverrepReport(source, depth, count, proportion, chance.probability, chance, regime)
@@ -145,7 +146,7 @@ def bridge_check(
     The null proportion is the population through ``era_cutoff_year``
     divided by the population through ``pool_cutoff_year``, both linearly
     prorated.  ``counts`` holds (depth, early_count) pairs as reported;
-    every pair is checked, in order, before any tail is taken.
+    their tails are taken in order, so the first faulty pair raises.
     """
     if not isinstance(pool_cutoff_year, int) or not isinstance(era_cutoff_year, int):
         raise DomainError("cutoff years must be integers")
@@ -158,8 +159,6 @@ def bridge_check(
         raise DomainError("bridge check needs at least one (depth, count) pair")
     era, pool, _ = _exact_population(table, None, era_cutoff_year, pool_cutoff_year)
     proportion = era / pool
-    for depth, early in counts:
-        _check_tail_args(depth, early, proportion)
     chances = {}
     return [_report("external", depth, early, proportion, None, chances)
             for depth, early in counts]

@@ -89,7 +89,11 @@ def _silence(stream) -> None:
     """Point a standard stream's fd at devnull, so the interpreter's exit
     flush of what is still buffered there stays silent."""
     if stream is not None:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, stream.fileno())
+        finally:
+            os.close(devnull)
 
 
 @functools.cache

@@ -5,24 +5,23 @@ correctly rounded to a double, over the whole input domain: denormal
 results and zero included.  No normal approximation and no float term is
 involved.  The double ``p`` is ``a / 2**e`` exactly, so ``1 - p`` is
 ``c / 2**e`` with ``c = 2**e - a``, exact as well, and every binomial term
-is an integer over ``2**(e*n)``.  One of two paths gives the double:
+is an integer over ``2**(e*n)``.  A tail takes three steps in order:
 
-- **fixed point with Ziv's rounding test**: the side whose terms fall from
-  its first one is summed in P-bit integer fixed point under a proved
-  error bound, and the double is returned as soon as both ends of that
-  bound round to it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160, 320,
-  640.  The first term comes from floored tables of ``m!`` and ``1/m!``,
-  built once per process on the first tail that needs them, and from one
-  truncated power chain;
-- **the exact side sum**: the shorter side of the tail is summed exactly
-  by Horner's rule and divided once.  It runs first when that side has
-  few terms of few bits, and last when even P = 640 cannot decide the
-  rounding.
-
-Two shortcuts return without summing.  Above the mode, a tail whose
-union bound ``C(n, k_min) * p**k_min`` lies under ``2**-1076`` is 0.0: it
-rounds to zero in any case.  Below it, a tail whose lower tail is bounded
-under ``2**-55`` is 1.0: it rounds to one in any case.
+- **two shortcuts**: above the mode, a tail whose union bound
+  ``C(n, k_min) * p**k_min`` lies under ``2**-1076`` is 0.0, and below
+  it, a tail whose lower tail is bounded under ``2**-55`` is 1.0: each
+  rounds so in any case;
+- **fixed point with Ziv's rounding test**, only where the shorter side
+  is too costly to sum exactly: the side whose terms fall from its first
+  one is summed in P-bit integer fixed point under a proved error bound,
+  and the double is returned as soon as both ends of that bound round to
+  it (A. Ziv, ACM TOMS 17(3), 1991), P going 80, 160, 320, 640.  The
+  first term comes from floored tables of ``m!`` and ``1/m!``, built once
+  per process on the first tail that needs them, and from one truncated
+  power chain;
+- **the exact side sum** of the shorter side, by Horner's rule, divided
+  once: for every tail the first two steps leave, the cheap ones and the
+  few that P = 640 cannot round.
 
 "1 in N" is always the exact reciprocal of the probability, taken from
 its integer ratio and rounded half up in integer arithmetic, so every
@@ -72,16 +71,11 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
 
     ``n`` must be a positive integer no larger than ``MAX_TRIALS`` and
     ``k_min`` an integer in [0, n].  ``k_min <= 0`` returns exactly 1.0.
+    ``p`` is taken as the nearest double, ``float(p)``.
 
     With ``t_j = C(n, j) a**j c**(n-j) / 2**(e*n)`` the tail is
     ``U = sum_{j >= k} t_j`` and the lower tail ``L = 1 - U`` sums j < k.
-
-    *Exact side sum.*  When ``min(n - k + 1, k) * e * n`` is at most
-    ``_EXACT_SUM_BITS``, the shorter side is summed exactly, and U, or
-    ``2**(e*n) - L``, over ``2**(e*n)`` is rounded once (``_to_double``),
-    subnormals and zero included (``_exact_side``).
-
-    *Fixed point.*  Otherwise one side is summed from a first term at
+    One side is bounded, and summed in fixed point, from a first term at
     index f on, where its ratio ``rho_j = (n - j) x / ((j + 1) y)`` is at
     most 1 from j = f on (it falls with j):
 
@@ -93,8 +87,8 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
       its first ratio ``(k - 1) c / ((n - k + 2) a)`` is under 1 because
       ``(n - k) a > (k + 1) c``.  U is ``1 - L``, free of cancellation.
 
-    *Shortcuts.*  Before the pass, a bound ``C(n, f) * 2**r`` on one side
-    settles tails that round to 0.0 or 1.0 whatever the sum:
+    *Shortcuts.*  First, a bound ``C(n, f) * 2**r`` on that side settles
+    tails that round to 0.0 or 1.0 whatever the sum:
 
     - above the mode, the union bound ``U <= C(n, k) p**k``.  Under
       ``2**-1076`` (``_ZERO_EXP_BOUND``) it returns 0.0, as U is then
@@ -109,6 +103,12 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
 
     Each bound takes ``C(n, f) <= 2**n``; the one bit under each cut
     absorbs the rounding of the float logs.
+
+    *Exact side sum.*  A tail the shortcuts leave takes the passes below
+    only when ``min(n - k + 1, k) * e * n`` exceeds ``_EXACT_SUM_BITS``.
+    Otherwise, or when P = 640 leaves the rounding open, ``_exact_side``
+    sums the shorter side exactly, and U, or ``2**(e*n) - L``, over
+    ``2**(e*n)`` is rounded once (``_to_double``), subnormals and zero too.
 
     ``_fixed_sum`` takes the terms in units of ``2**-F``: F puts the first
     term in [2**P, 2**(P+1)) units for U, and is P + 2 for L, since U >=
@@ -165,7 +165,17 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     leaves this undecided only within about 2**-600 of a rounding
     boundary; the exact side sum then decides.
     """
-    _check_tail_args(n, k_min, p)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_TRIALS:
+        raise DomainError(f"n must be in [1, {MAX_TRIALS}], got {n}")
+    if not isinstance(k_min, int) or isinstance(k_min, bool):
+        raise DomainError(f"k_min must be an integer, got {k_min!r}")
+    if not 0 <= k_min <= n:
+        raise DomainError(f"k_min must be in [0, {n}], got {k_min}")
+    if math.isnan(p) or not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must be in [0, 1], got {p!r}")
+    p = float(p)
     if k_min <= 0:
         return 1.0
     if p == 0.0:
@@ -175,11 +185,6 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     a, den = p.as_integer_ratio()
     e = den.bit_length() - 1
     c = den - a
-    bits = e * n
-    # the shorter side's term count (a builtin min() call would cost more
-    # than this test on every call)
-    if (n - k_min + 1 if n - k_min < k_min else k_min) * bits <= _EXACT_SUM_BITS:
-        return _exact_side(n, k_min, a, c, bits)
     upper = (n - k_min) * a <= (k_min + 1) * c
     log2_p = math.log2(p)
     # the side's bound is C(n, first) * 2**log2_rest, and under the cut the
@@ -194,33 +199,24 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
     # C(n, first) <= 2**n
     if n + log2_rest < cut:
         return shortcut
-    # C(n, first) floored to n! / first! / (n - first)!, for the passes
-    factorials, reciprocals = _factorial_tables()
-    coeff = factorials[n], reciprocals[first], reciprocals[n - first]
-    for precision in _PRECISIONS:
-        total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
-        if upper:
-            low, high = total, total + error
-        else:
-            low, high = (1 << scale) - total - error, (1 << scale) - total
-        result = _to_double(low, scale)
-        if result == _to_double(high, scale):
-            return result
+    bits = e * n
+    # the shorter side's term count (a builtin min() call would cost more
+    # than this test)
+    size = n - k_min + 1 if n - k_min < k_min else k_min
+    if size * bits > _EXACT_SUM_BITS:
+        # C(n, first) floored to n! / first! / (n - first)!, for the passes
+        factorials, reciprocals = _factorial_tables()
+        coeff = factorials[n], reciprocals[first], reciprocals[n - first]
+        for precision in _PRECISIONS:
+            total, error, scale = _fixed_sum(n, first, coeff, x, y, e, precision, upper)
+            if upper:
+                low, high = total, total + error
+            else:
+                low, high = (1 << scale) - total - error, (1 << scale) - total
+            result = _to_double(low, scale)
+            if result == _to_double(high, scale):
+                return result
     return _exact_side(n, k_min, a, c, bits)
-
-
-def _check_tail_args(n: int, k_min: int, p: float) -> None:
-    """Raise ``binomial_tail``'s DomainError for arguments it refuses."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_TRIALS:
-        raise DomainError(f"n must be in [1, {MAX_TRIALS}], got {n}")
-    if not isinstance(k_min, int) or isinstance(k_min, bool):
-        raise DomainError(f"k_min must be an integer, got {k_min!r}")
-    if not 0 <= k_min <= n:
-        raise DomainError(f"k_min must be in [0, {n}], got {k_min}")
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p!r}")
 
 
 def _exact_side(n: int, k_min: int, a: int, c: int, bits: int) -> float:

@@ -306,6 +306,10 @@ def test_bridge_matches_per_pair_reports(table, pairs, data):
     ([(10, 6), (1001, 3), (10, 11)], "n must be in [1, 1000], got 1001"),
     ([(10, 6), (10, 11), (1001, 3)], "k_min must be in [0, 10], got 11"),
     ([(10, -1), (1001, 3)], "k_min must be in [0, 10], got -1"),
+    # a bool or float equal to an earlier valid pair's int
+    ([(1, 1), (True, 1)], "n must be an integer, got True"),
+    ([(10, 6), (10.0, 6)], "n must be an integer, got 10.0"),
+    ([(10, 6), (10, 6.0)], "k_min must be an integer, got 6.0"),
 ])
 def test_bridge_raises_the_first_faulty_pairs_error(table, pairs, message):
     args = (pairs, 1999, 1950, table)

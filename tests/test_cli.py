@@ -3,6 +3,7 @@ and byte-for-byte determinism across repeated runs.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -910,6 +911,28 @@ def test_a_closed_stdout_pipe_exits_3_without_a_message():
     finally:
         os.close(writer)
     assert (result.returncode, result.stderr) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="counts the open fds in /dev/fd")
+def test_a_broken_stdout_leaves_no_open_fd_behind(monkeypatch):
+    # in process, each failed write points the stream's fd at devnull
+    class Broken:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        def fileno(self):
+            return writer
+
+    reader, writer = os.pipe()
+    monkeypatch.setattr(sys, "stdout", Broken())
+    try:
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(5):
+            assert cli.main(["tail", "--n", "10", "--k", "6", "--p", "0.18696"]) == 3
+        assert len(os.listdir("/dev/fd")) == before
+    finally:
+        os.close(reader)
+        os.close(writer)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -3,8 +3,11 @@
 """
 
 import math
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -385,6 +388,31 @@ def test_only_a_fixed_point_tail_reads_the_factorial_tables(monkeypatch):
     assert kinds == {0, 1}
 
 
+def test_the_bound_test_runs_before_the_exact_side_sum(monkeypatch):
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(tailprob, name, call)
+
+    counted("_exact_side", tailprob._exact_side)
+    counted("_fixed_sum", tailprob._fixed_sum)
+    # cheap sides, each settled by a shortcut with no sum at all
+    for args, shortcut in (((2, 2, 5e-324), 0.0), ((3, 1, 1 - 2**-53), 1.0)):
+        del calls[:]
+        assert binomial_tail(*args) == shortcut
+        assert calls == [], args
+    # a cheap side the bound leaves: one exact side sum, no pass
+    del calls[:]
+    e = (0.3).as_integer_ratio()[1].bit_length() - 1
+    assert 3 * e * 10 <= _EXACT_SUM_BITS
+    assert binomial_tail(10, 3, 0.3) == exact_binomial_tail_as_double(10, 3, 0.3)
+    assert calls == ["_exact_side"]
+
+
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0, allow_nan=False), data=st.data())
 def test_monotone_in_k(n, p, data):
     k = data.draw(st.integers(1, n))
@@ -432,6 +460,19 @@ def test_rejects_out_of_domain_arguments():
     with pytest.raises(DomainError):
         binomial_tail(10, True, 0.5)
 
+
+@pytest.mark.parametrize("n, k", [(10, 3), (10, 8), (1000, 400), (1000, 1)])
+@pytest.mark.parametrize("p", [Fraction(1, 3), Decimal("0.3"), Fraction(1, 10**400), 1])
+def test_a_p_that_is_not_a_double_is_taken_as_the_nearest_one(n, k, p):
+    value = binomial_tail(n, k, p)
+    assert value == binomial_tail(n, k, float(p))
+    assert 0.0 <= value <= 1.0
+
+
+def test_an_out_of_range_p_is_shown_as_given():
+    for p in (Fraction(4, 3), Decimal("-0.1")):
+        with pytest.raises(DomainError, match=re.escape(f"got {p!r}")):
+            binomial_tail(10, 3, p)
 
 # ------------------------------------------------------------- chances
 

@@ -1,5 +1,9 @@
 """Command line interface.
 
+The process entry is ``__main__`` (``python -m eragreats`` and the
+installed script): it sets the one environment default of the command
+line, numpy's BLAS threads, then calls ``main``, which sets none.
+
 Subcommands mirror the library: ``proportion``, ``tail``, ``analyze``,
 ``sensitivity``, ``bridge``, ``dilution``, ``detrend``.  The last two run
 their own modules, whose names the package root does not list; the

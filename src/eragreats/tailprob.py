@@ -173,7 +173,7 @@ def binomial_tail(n: int, k_min: int, p: float) -> float:
         raise DomainError(f"k_min must be an integer, got {k_min!r}")
     if not 0 <= k_min <= n:
         raise DomainError(f"k_min must be in [0, {n}], got {k_min}")
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
+    if p != p or not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
     if k_min <= 0:
@@ -373,7 +373,7 @@ def chance_format(probability: float) -> Chance:
     tenths below 10, dropping a ".0" (so a certainty prints as "1 in 1",
     not "1 in 1.0").
     """
-    if math.isnan(probability) or not 0.0 < probability <= 1.0:
+    if probability != probability or not 0.0 < probability <= 1.0:
         raise DomainError(f"probability must be in (0, 1], got {probability!r}")
     # the reciprocal is den / num exactly
     num, den = probability.as_integer_ratio()

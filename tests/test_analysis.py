@@ -4,7 +4,9 @@ ordering guarantees, the truncated-pool bridge, and the simulation oracle.
 
 import collections
 import math
+import re
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -543,8 +545,10 @@ def test_oracle_validates_inputs():
         monte_carlo_oracle(5, 0.5, 0, 0)
     with pytest.raises(DomainError):
         monte_carlo_oracle(5, 0.5, 10**8 + 1, 0)
-    with pytest.raises(DomainError):
-        monte_carlo_oracle(5, float("nan"), 100, 0)
+    # p is compared exactly, never converted to a float that overflows
+    for p in (float("nan"), Decimal("NaN"), 10**400):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'p must be in [0, 1], got {p!r}')}$"):
+            monte_carlo_oracle(10, p, 100, 0)
 
 
 @pytest.mark.parametrize("depth, p, trials, seed", [

@@ -462,6 +462,66 @@ def test_tail_monte_carlo_is_seeded():
     assert abs(payload["monte_carlo"] - payload["probability"]) < 0.002
 
 
+# run in a fresh interpreter: import the process entry, or run `tail
+# --trials` through cli.main in process, then print OPENBLAS_NUM_THREADS
+BLAS_THREADS = """
+import contextlib, io, os, sys
+if sys.argv[1:] == ["entry"]:
+    import eragreats.__main__
+else:
+    from eragreats import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tail", "--n", "10", "--k", "6", "--p", "0.18696", "--trials", "100"]) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def run_without_blas_threads(*argv, **env):
+    """stdout of a fresh ``python *argv`` whose environment has no
+    OPENBLAS_NUM_THREADS other than one given in ``env``."""
+    base = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run([sys.executable, *argv], env={**base, **env},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("env, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                         ids=["unset", "set by the user"])
+def test_the_process_entry_defaults_blas_to_one_thread(env, expected):
+    assert run_without_blas_threads("-c", BLAS_THREADS, "entry", **env) == expected + "\n"
+
+
+def test_cli_main_in_process_leaves_the_blas_threads_alone():
+    # an embedding process owns its BLAS: only the process entry sets one
+    assert run_without_blas_threads("-c", BLAS_THREADS, "cli") == "None\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or os.cpu_count() == 1,
+                    reason="needs /proc/self/task and more than one CPU")
+def test_numpy_under_the_process_entry_starts_no_blas_thread():
+    count = "import os, eragreats.__main__, numpy; print(len(os.listdir('/proc/self/task')))"
+    assert run_without_blas_threads("-c", count) == "1\n"
+
+
+def test_the_process_entry_prints_what_cli_main_prints():
+    # one BLAS thread in the fresh process, this process's own count here:
+    # the seeded draws are the same
+    argv = ["tail", "--n", "10", "--k", "6", "--p", "0.18696",
+            "--trials", "100000", "--seed", "11", "--format", "json"]
+    code, stdout, _ = run_main(argv)
+    assert code == 0 and stdout
+    assert run_without_blas_threads("-m", "eragreats", *argv) == stdout
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_console_script_runs_the_process_entry():
+    import tomllib
+
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert tomllib.loads(pyproject)["project"]["scripts"] == {"eragreats": "eragreats.__main__:main"}
+
+
 def test_zero_tails_display_a_dash(tmp_path):
     # the tail of 0.278**1000 underflows to exactly 0.0
     result = run_cli("tail", "--n", "1000", "--k", "1000", "--p", "0.278", "--format", "csv")

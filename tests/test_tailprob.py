@@ -470,8 +470,11 @@ def test_a_p_that_is_not_a_double_is_taken_as_the_nearest_one(n, k, p):
 
 
 def test_an_out_of_range_p_is_shown_as_given():
-    for p in (Fraction(4, 3), Decimal("-0.1")):
-        with pytest.raises(DomainError, match=re.escape(f"got {p!r}")):
+    # p is compared exactly, never converted: one too large for a double is
+    # refused like any other, not with an OverflowError
+    for p in (Fraction(4, 3), Decimal("-0.1"), 10**400, Fraction(10**400, 3),
+              float("nan"), Decimal("NaN")):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'p must be in [0, 1], got {p!r}')}$"):
             binomial_tail(10, 3, p)
 
 # ------------------------------------------------------------- chances
@@ -509,8 +512,9 @@ def test_chance_keeps_probability():
 
 
 def test_chance_rejects_out_of_domain_probabilities():
-    for bad in (0.0, -0.2, 1.0000001, float("nan")):
-        with pytest.raises(DomainError):
+    for bad in (0.0, -0.2, 1.0000001, float("nan"), Decimal("NaN"), 10**400, Fraction(10**400, 3)):
+        message = f"probability must be in (0, 1], got {bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             chance_format(bad)
 
 

@@ -12,9 +12,9 @@ the detrended values the rows print, each season detrended once.  All
 output is deterministic byte-for-byte for a given invocation: fixed column
 orders, fixed float rendering, no timestamps, no hash-order iteration.  The
 output text of each report command (``analyze``, ``sensitivity``,
-``bridge``) is kept per process, keyed on its arguments and parsed inputs
-(``_report_text``), so a repeated command over the same file bytes is one
-lookup; the library calls behind it keep nothing.
+``bridge``) is kept per process, keyed on its arguments and the bytes of
+each input file (``_report_text``): the only results the package keeps,
+as the loaders and library calls behind it keep nothing.
 
 At import this module loads only ``errors``, ``formatting`` and
 ``defaults``, which build the parser and render the output; ``json``
@@ -33,6 +33,7 @@ that cannot be written loses its one-line message but not the exit code.
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import errno
 import functools
@@ -44,9 +45,9 @@ from .defaults import (
     DEFAULT_BRIDGE_COUNTS,
     DEFAULT_CUTOFF_YEAR,
     DEFAULT_DEPTHS,
+    DEFAULT_LIST_NAMES,
     DEFAULT_POOL_CUTOFF_YEAR,
     data_path,
-    default_ranked_lists,
 )
 from .errors import DataError, DomainError
 from .formatting import format_per_roster_spot, format_probability, format_proportion
@@ -264,58 +265,74 @@ def _cmd_grid(args) -> str:
     """``sensitivity``: every regime, led by a regime column; ``analyze``:
     the ``--regime`` one, or none."""
     from .analysis import sensitivity_matrix
-    from .population import load_population_table, load_weight_regimes
-    from .rankings import load_ranked_list
+    from .population import _population_table, _read_bytes, _weight_regimes
+    from .rankings import _ranked_list
 
-    table = load_population_table(args.population)
-    named = load_weight_regimes(args.weights)
+    paths = args.lists or [data_path(f"{name}.csv") for name in DEFAULT_LIST_NAMES]
+    raws = []
+    for path in (args.population, args.weights, *paths):
+        try:
+            raws.append(_read_bytes(path))
+        except DataError as exc:
+            raws.append(exc)  # raised at this input's turn, by _parsed
     every = args.command == "sensitivity"
-    regimes = list(named.values()) if every else [_pick_regime(args, named)]
-    lists = ([load_ranked_list(path) for path in args.lists] if args.lists
-             else default_ranked_lists())
-    return _report_text(args, (table, *regimes, *lists), every, lambda: sensitivity_matrix(
-        lists, regimes, args.depths, args.cutoff, table))
+
+    def reports():
+        table = _parsed(_population_table, args.population, raws[0])
+        named = _parsed(_weight_regimes, args.weights, raws[1])
+        regimes = list(named.values()) if every else [_pick_regime(args, named)]
+        lists = [_parsed(_ranked_list, path, raw) for path, raw in zip(paths, raws[2:])]
+        return sensitivity_matrix(lists, regimes, args.depths, args.cutoff, table)
+
+    return _report_text(args, raws, every, reports)
+
+
+def _parsed(parse, path, raw):
+    """``parse(path, raw)``, or the DataError kept in place of ``raw``."""
+    if isinstance(raw, DataError):
+        raise raw
+    return parse(path, raw)
 
 
 def _cmd_bridge(args) -> str:
     from .analysis import bridge_check
-    from .population import load_population_table
+    from .population import _population_table, _read_bytes
 
-    table = load_population_table(args.population)
-    return _report_text(args, (table,), False, lambda: bridge_check(
-        args.counts, args.pool_cutoff, args.cutoff, table))
+    raw = _read_bytes(args.population)
+    return _report_text(args, [raw], False, lambda: bridge_check(
+        args.counts, args.pool_cutoff, args.cutoff, _population_table(args.population, raw)))
 
 
-# report command texts: (every parsed argument, the id of each parsed
-# input) -> (text, inputs), the oldest entry first
+# report command texts: (every parsed argument, then the bytes of each
+# input file) -> text, the oldest entry first
+_TEXTS_LIMIT = 32
 _texts: dict = {}
+_texts_lock = _thread.allocate_lock()
 
 
-def _report_text(args, inputs: tuple, regime: bool, reports) -> str:
+def _report_text(args, raws: list, regime: bool, reports) -> str:
     """The ``args.format`` text of the reports ``reports()`` returns, one
     row each, led by a ``regime`` column when ``regime`` is true; kept per
     process.
 
-    The key is every parsed argument (a list of paths as a tuple) and the
-    identity of each parsed input: the table, the regimes and the lists.
-    The parse cache hands back the same objects for the same file bytes,
-    and they are immutable, so the text is a function of the key; a file
-    read again with new bytes gives new objects and misses.  An entry
-    holds its inputs, so no id is reused while it is kept.  Up to
-    ``_PARSED_LIMIT`` texts are kept, the oldest going first, and an
-    error is never kept: every input is loaded, and so checked, before
-    the lookup, and a miss raises before anything is stored.
+    The key is every parsed argument (a list of paths as a tuple) and
+    ``raws``, the bytes of each input file, so the text is a function of
+    the key: a file rewritten in place misses.  A file that could not be
+    read has its DataError in place of its bytes; no kept key holds that
+    error, so the command misses and ``reports()`` raises it.  Up to
+    ``_TEXTS_LIMIT`` texts are kept, the oldest going first, and an error
+    is never kept: a miss raises before anything is stored.  The lock
+    makes evict-then-store one step for threads that store at once.
     """
     key = (*[(name, tuple(value) if isinstance(value, list) else value)
-             for name, value in vars(args).items()], *map(id, inputs))
-    kept = _texts.get(key)
-    if kept is not None:
-        return kept[0]
-    # imported on a miss only: a kept text is one lookup
-    from .population import _keep
-
-    text = _emit(_report_rows(reports(), regime), args.format)
-    _keep(_texts, key, (text, inputs))
+             for name, value in vars(args).items()], *raws)
+    text = _texts.get(key)
+    if text is None:
+        text = _emit(_report_rows(reports(), regime), args.format)
+        with _texts_lock:
+            if len(_texts) >= _TEXTS_LIMIT:
+                del _texts[next(iter(_texts))]
+            _texts[key] = text
     return text
 
 

@@ -11,6 +11,7 @@ module's names; import them from ``eragreats.detrend``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,11 +44,11 @@ def detrend_value(value: float, league_average: float, historic_average: float) 
     double is returned, and every result that fitted before is unchanged.
     A result that itself overflows a double raises DomainError.
     """
-    if math.isnan(value) or math.isinf(value):
+    if value != value or not abs(value) <= sys.float_info.max:
         raise DomainError(f"value must be finite, got {value!r}")
-    if not league_average > 0 or math.isinf(league_average):
+    if not 0 < league_average <= sys.float_info.max:
         raise DomainError(f"league average must be positive and finite, got {league_average!r}")
-    if not historic_average > 0 or math.isinf(historic_average):
+    if not 0 < historic_average <= sys.float_info.max:
         raise DomainError(
             f"historic average must be positive and finite, got {historic_average!r}"
         )
@@ -87,7 +88,7 @@ def compute_historic_average(league_averages: Iterable[float]) -> float:
     if not values:
         raise DomainError("historic average needs at least one league average")
     for v in values:
-        if not v > 0 or math.isinf(v) or math.isnan(v):
+        if not 0 < v <= sys.float_info.max:
             raise DomainError(f"league averages must be positive and finite, got {v!r}")
     total = _exact_sum(values)
     # 2**2097 units of 2**-1074 are 2**1023
@@ -119,4 +120,4 @@ def _career_sum(detrended: list[float]) -> float:
 def load_season_stats(path) -> list[SeasonStat]:
     """Read ``season,value,league_average`` rows from CSV."""
     columns = fixed_columns("season,value,league_average", int, finite, finite)
-    return read_rows(path, columns, SeasonStat, key="seasons")
+    return read_rows(path, columns, SeasonStat)

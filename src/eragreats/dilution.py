@@ -55,7 +55,7 @@ def per_roster_spot(season: LeagueSeason) -> float:
 def load_league_config(path) -> list[tuple[int, int, int]]:
     """Read ``year,teams,roster_size`` rows from CSV, one row per year."""
     columns = fixed_columns("year,teams,roster_size", int, int, int)
-    return read_rows(path, columns, lambda *row: row, key="league")
+    return read_rows(path, columns, lambda *row: row)
 
 
 def build_league_seasons(

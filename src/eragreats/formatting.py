@@ -12,7 +12,7 @@ its arguments, so it imports nothing else of the package.
 
 from __future__ import annotations
 
-import math
+import sys
 
 from .errors import DomainError
 
@@ -21,7 +21,7 @@ def format_probability(value: float, significant: int = 3) -> str:
     """Positional rendering with exactly ``significant`` figures, subnormals included."""
     if significant < 1:
         raise DomainError(f"significant figures must be >= 1, got {significant}")
-    if math.isnan(value) or math.isinf(value):
+    if value != value or not abs(value) <= sys.float_info.max:
         raise DomainError(f"value must be finite, got {value!r}")
     if value == 0:
         return "0"
@@ -39,7 +39,7 @@ def format_probability(value: float, significant: int = 3) -> str:
 
 def format_proportion(value: float) -> str:
     """Population shares display with three digits after the point."""
-    if math.isnan(value) or math.isinf(value):
+    if value != value or not abs(value) <= sys.float_info.max:
         raise DomainError(f"value must be finite, got {value!r}")
     return f"{value:.3f}"
 
@@ -60,6 +60,6 @@ def format_per_roster_spot(value: float) -> str:
     """Display rule: the exact value rounded half up, to tenths below 100
     with a trailing ".0" dropped, to a whole number from 100 up.
     """
-    if not value > 0 or math.isinf(value):
+    if not 0 < value <= sys.float_info.max:
         raise DomainError(f"per-roster-spot value must be positive and finite, got {value!r}")
     return half_up(*value.as_integer_ratio(), 100)

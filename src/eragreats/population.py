@@ -16,9 +16,8 @@ correctly rounded; nothing of a total is kept between calls.
 
 ``read_rows`` is the one CSV reader: each loader declares one parser per
 column, and the reader applies every cell and key rule for all of them,
-one row at a time in file order.  It reads every file as UTF-8 and keeps
-what it parses, keyed on the file's bytes, so the same content read
-again in one process is not parsed again.
+one row at a time in file order.  It reads every file as UTF-8, and every
+call reads and parses afresh: nothing of a file is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import csv
 import io
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -207,24 +205,7 @@ def cumulative_proportion(
     return numerator / denominator
 
 
-# parsed files, keyed on (loader key, file bytes); every kept map holds
-# at most this many entries (see ``_keep``)
-_PARSED_LIMIT = 32
-_parsed: dict = {}
-_parsed_lock = threading.Lock()
-
-
-def _keep(store: dict, key, value) -> None:
-    """Store ``value`` under ``key`` in ``store``, first evicting the
-    oldest entry once ``store`` holds ``_PARSED_LIMIT``.  The lock makes
-    evict-then-store one step for threads that store at once."""
-    with _parsed_lock:
-        if len(store) >= _PARSED_LIMIT:
-            del store[next(iter(store))]
-        store[key] = value
-
-
-def read_rows(path, columns, make, build=list, *, key):
+def read_rows(path, columns, make, build=list):
     """Read the CSV file at ``path`` and return ``build(rows)``, where
     ``rows`` holds ``make(*values)`` for each non-blank data row.
 
@@ -240,33 +221,25 @@ def read_rows(path, columns, make, build=list, *, key):
     fault; the file is opened by the path as given, and a ``Path`` is built
     only for such an error.
 
-    The file is opened once and read as bytes.  ``key`` is hashable and
-    names everything besides those bytes that the result depends on (the
-    loader, and for a ranked list the path's stem): a result is kept per
-    (``key``, bytes), up to ``_PARSED_LIMIT`` files, and returned again for
-    the same pair without a parse.  An error is never kept, and a list or
-    dict result is returned as a fresh shallow copy, so a caller's edit
-    never reaches a later load.
-
-    The bytes are decoded as UTF-8, whatever the locale.  On a miss the
-    data rows are checked and parsed in one pass, row by row in file
-    order, so the error raised is that of the first faulty line.
+    The file is opened once and read as bytes (``_read_bytes``), which are
+    decoded as UTF-8, whatever the locale.  The data rows are checked and
+    parsed in one pass, row by row in file order, so the error raised is
+    that of the first faulty line.  Each call builds a new result.
     """
+    return _parse(path, _read_bytes(path), columns, make, build)
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; an empty path and a file that
+    cannot be read are refused."""
     if not path:
         raise DataError("empty file path")
     try:
         # os.fspath refuses an int, which open would take for a file descriptor
         with open(os.fspath(path), "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataError(f"cannot read file: {exc.strerror or exc}", path=Path(path)) from None
-    entry = (key, raw)
-    value = _parsed.get(entry)
-    if value is None:
-        value = _parse(path, raw, columns, make, build)
-        _keep(_parsed, entry, value)
-    # what the loaders build is immutable, but a list or dict holding it is not
-    return value.copy() if isinstance(value, (list, dict)) else value
 
 
 def _parse(path, raw, columns, make, build):
@@ -341,6 +314,11 @@ def load_population_table(path) -> PopulationTable:
     and every row as wide as the header.  The length column is optional
     and defaults to 10; an empty cell also means 10.
     """
+    return _population_table(path, _read_bytes(path))
+
+
+def _population_table(path, raw: bytes) -> PopulationTable:
+    """``load_population_table`` of ``raw``, the bytes read from ``path``."""
 
     def columns(cells):
         names = [cell.strip() for cell in cells]
@@ -352,10 +330,8 @@ def load_population_table(path) -> PopulationTable:
             )
         return (int, finite, lambda cell: int(cell) if cell.strip() else 10)[:len(names)]
 
-    return read_rows(
-        path, columns, PopulationRecord, lambda records: PopulationTable(tuple(records)),
-        key="population",
-    )
+    return _parse(path, raw, columns, PopulationRecord,
+                  lambda records: PopulationTable(tuple(records)))
 
 
 def load_weight_regimes(path) -> dict[str, WeightRegime]:
@@ -364,6 +340,11 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
     Expected header: ``year,<name>,<name>,...``.  Returns regimes keyed by
     name, in column order.
     """
+    return _weight_regimes(path, _read_bytes(path))
+
+
+def _weight_regimes(path, raw: bytes) -> dict[str, WeightRegime]:
+    """``load_weight_regimes`` of ``raw``, the bytes read from ``path``."""
     names: list[str] = []
 
     def columns(cells):
@@ -381,4 +362,4 @@ def load_weight_regimes(path) -> dict[str, WeightRegime]:
         years, *weights = zip(*rows)
         return {name: WeightRegime(name, dict(zip(years, w))) for name, w in zip(names, weights)}
 
-    return read_rows(path, columns, lambda *row: row, build, key="weights")
+    return _parse(path, raw, columns, lambda *row: row, build)

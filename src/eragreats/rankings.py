@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, DomainError
-from .population import fixed_columns, read_rows
+from .population import _parse, _read_bytes, fixed_columns
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,13 @@ def load_ranked_list(path) -> RankedList:
 
     The list's source name is the file's stem.
     """
-    # the source is part of the result, so part of the parse key; read_rows
-    # refuses an empty path
-    source = Path(path).stem if path else ""
-    return read_rows(
-        path,
-        fixed_columns("rank,name,career_start_year", int, str.strip, int),
-        PlayerEntry,
-        lambda entries: RankedList(source, tuple(entries)),
-        key=("ranked", source),
-    )
+    return _ranked_list(path, _read_bytes(path))
 
+
+def _ranked_list(path, raw: bytes) -> RankedList:
+    """``load_ranked_list`` of ``raw``, the bytes read from ``path``."""
+    # the source comes from the path, not the bytes: a key for the result
+    # holds both (the command line's kept text is keyed on its arguments)
+    source = Path(path).stem
+    return _parse(path, raw, fixed_columns("rank,name,career_start_year", int, str.strip, int),
+                  PlayerEntry, lambda entries: RankedList(source, tuple(entries)))

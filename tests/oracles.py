@@ -14,11 +14,10 @@ enumeration oracle it imports nothing from the package.
 ``Decimal`` arithmetic, as the reference for ``format_probability``.
 
 ``reference_read_rows`` keeps the package's original CSV reader, one
-row at a time with no parse cache, as the reference the package reader
-must match in every object it builds and every error it raises, whether
-it parses a file afresh or returns it from its cache; ``indented_json``
-is the original JSON rendering the CLI's JSON output must match byte
-for byte.
+row at a time, reading the file itself, as the reference the package's
+parse step must match in every object it builds and every error it
+raises; ``indented_json`` is the original JSON rendering the CLI's JSON
+output must match byte for byte.
 
 ``reference_report_text`` keeps the CLI's original report rendering, one
 row dict per report and every cell formatted afresh, as the reference
@@ -316,12 +315,13 @@ def per_pair_bridge(counts, pool_cutoff_year, era_cutoff_year, table) -> list:
     return reports
 
 
-def reference_read_rows(path, columns, make, build=list, *, key=None):
+def reference_read_rows(path, raw, columns, make, build=list):
     """``read_rows`` as it first was, reading the file as UTF-8: each
     non-blank data row checked for width, parsed cell by cell, checked for
     a repeated key and built, in file order, so the first faulty line
-    raises.  Every call parses the file afresh: ``key``, which names the
-    package reader's cache entry, is ignored."""
+    raises.  It takes the arguments of the package's parse step,
+    ``population._parse``, and reads the file at ``path`` itself: ``raw``,
+    the bytes the package read, is ignored."""
     from eragreats.errors import DataError
 
     if not path:

@@ -19,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import eragreats
 from eragreats import analysis, cli, formatting
+from eragreats.cli import _TEXTS_LIMIT
 from eragreats.analysis import OverrepReport
 from eragreats.defaults import DEFAULT_CUTOFF_YEAR, DEFAULT_POOL_CUTOFF_YEAR, data_path
 from eragreats.detrend import detrend_career, load_season_stats
-from eragreats.population import _PARSED_LIMIT
 from eragreats.tailprob import Chance
 from oracles import (
     exact_binomial_tail_as_double,
@@ -144,6 +144,22 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
         assert result.returncode == 0, result.stderr
         loaded[entry] = tuple(json.loads(result.stdout))
     assert loaded == expected
+
+
+def test_a_report_command_leaves_threading_unloaded():
+    # the kept-text lock comes from _thread, which every interpreter has
+    # loaded; under -S no site hook imports threading either
+    script = """
+import contextlib, io, sys
+from eragreats import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["sensitivity"]) == 0
+print("threading" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(eragreats.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 # run in a fresh interpreter, where no public name is bound in the root yet
@@ -688,7 +704,7 @@ def bridge_commands():
 
 def test_report_text_past_the_bound_evicts_the_oldest(kept_texts, table):
     commands = bridge_commands()
-    assert len(commands) == _PARSED_LIMIT + 1
+    assert len(commands) == _TEXTS_LIMIT + 1
     expected = [
         (0, reference_report_text(
             per_pair_bridge(pairs, DEFAULT_POOL_CUTOFF_YEAR, DEFAULT_CUTOFF_YEAR, table),
@@ -698,17 +714,17 @@ def test_report_text_past_the_bound_evicts_the_oldest(kept_texts, table):
     assert len({stdout for _, stdout, _ in expected}) == len(commands)
     for (argv, _), output in zip(commands, expected):
         assert run_main(argv) == output
-    kept = [text for text, _ in kept_texts.values()]
+    kept = list(kept_texts.values())
     assert kept == [stdout for _, stdout, _ in expected[1:]]
     # the evicted first command is rendered again, and evicts the second
     assert run_main(commands[0][0]) == expected[0]
-    kept = [text for text, _ in kept_texts.values()]
+    kept = list(kept_texts.values())
     assert kept == [stdout for _, stdout, _ in expected[2:] + expected[:1]]
 
 
 def test_threads_running_commands_at_once_share_the_bounded_map(kept_texts):
     commands = [cli.build_parser().parse_args(argv) for argv, _ in bridge_commands()]
-    assert len(commands) > _PARSED_LIMIT
+    assert len(commands) > _TEXTS_LIMIT
     expected = [args.handler(args) for args in commands]
     errors = []
 
@@ -717,7 +733,7 @@ def test_threads_running_commands_at_once_share_the_bounded_map(kept_texts):
             for i in range(3 * len(commands)):
                 index = (i + offset) % len(commands)
                 assert commands[index].handler(commands[index]) == expected[index]
-                assert len(kept_texts) <= _PARSED_LIMIT
+                assert len(kept_texts) <= _TEXTS_LIMIT
         except Exception as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -832,6 +848,26 @@ def test_input_data_errors_exit_3(tmp_path):
         result = run_cli(command, "--weights", str(tmp_path / "nope.csv"))
         assert (result.returncode, result.stdout) == (3, ""), command
         assert "nope.csv" in result.stderr
+
+
+def test_the_first_faulty_input_is_the_one_reported(tmp_path):
+    # a report command reads every input's bytes before it parses any, yet
+    # a file that cannot be read is reported at its own turn: after a
+    # fault of an input loaded before it, or of the --regime picked
+    population = tmp_path / "population.csv"
+    population.write_text("year,population_millions\n1890,x\n")
+    missing = str(tmp_path / "nonexistent.csv")
+    cases = [
+        (["analyze", "--regime", "nope", "--list", missing],
+         "unknown regime 'nope', available: w1, w2, w3, w4"),
+        (["sensitivity", "--population", str(population), "--weights", missing],
+         f"{population}:2: bad population_millions: 'x'"),
+    ]
+    for argv, message in cases:
+        result = run_cli(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            3, "", f"eragreats: {message}\n"), argv
+        assert run_main(argv) == (3, "", f"eragreats: {message}\n"), argv
 
 
 def test_domain_errors_exit_4(tmp_path):

@@ -56,6 +56,12 @@ def test_detrend_value_domain():
         detrend_value(float("nan"), 5.0, 5.0)
     with pytest.raises(DomainError):
         detrend_value(float("inf"), 5.0, 5.0)
+    # an int past the largest double is compared exactly, not converted
+    with pytest.raises(DomainError, match=f"^value must be finite, got {10**400}$"):
+        detrend_value(10**400, 1.0, 1.0)
+    with pytest.raises(DomainError, match=(
+            f"^league average must be positive and finite, got {10**400}$")):
+        detrend_value(1.0, 10**400, 1.0)
     with pytest.raises(DomainError):
         detrend_value(1e300, 1e-300, 1.0)
     # the product overflows, the result does not
@@ -70,6 +76,9 @@ def test_historic_average_is_arithmetic_mean():
         compute_historic_average([])
     with pytest.raises(DomainError):
         compute_historic_average([2.0, -1.0])
+    with pytest.raises(DomainError, match=(
+            f"^league averages must be positive and finite, got {10**400}$")):
+        compute_historic_average([10**400])
     # the sum overflows, the mean does not
     assert compute_historic_average([1e308, 1e308]) == 1e308
     big = 1.7e308

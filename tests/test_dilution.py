@@ -53,6 +53,9 @@ def test_display_rule():
         format_per_roster_spot(-1.0)
     with pytest.raises(DomainError):
         format_per_roster_spot(float("inf"))
+    with pytest.raises(DomainError, match=(
+            f"^per-roster-spot value must be positive and finite, got {10**400}$")):
+        format_per_roster_spot(10**400)
 
 
 @given(st.floats(min_value=5e-324, allow_infinity=False))

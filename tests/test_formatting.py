@@ -79,6 +79,10 @@ def test_rejects_non_finite_and_bad_precision():
         format_probability(0.5, significant=0)
     with pytest.raises(DomainError):
         format_proportion(float("nan"))
+    # an int past the largest double is compared exactly, not converted
+    for format_value in (format_probability, format_proportion):
+        with pytest.raises(DomainError, match=f"^value must be finite, got {10**400}$"):
+            format_value(10**400)
 
 
 @given(

@@ -4,21 +4,16 @@ header is at fault.  A file with a header and no data row gives one
 message from every loader, a bad cell is named by its column, and a
 repeated first-column key is refused at its line.  The package reader
 builds the same objects and raises the same first error as the original
-reader kept in ``oracles``, whether its result is parsed afresh or comes
-from its per-process parse cache.
+reader kept in ``oracles``, and every load reads and parses afresh.
 """
 
-import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import reference_read_rows
 
-import eragreats.detrend
-import eragreats.dilution
 import eragreats.population
 import eragreats.rankings
 from eragreats import (
@@ -140,7 +135,9 @@ BASE_FILES = {
     "seasons": [["season", "value", "league_average"], ["1919", "50", "0.1"],
                 ["1920", "54", "0.2"], ["1921", "-3", "1.5"]],
 }
-READERS = (eragreats.population, eragreats.rankings, eragreats.dilution, eragreats.detrend)
+# the modules that name the parse step, from the file bytes to the result,
+# that every loader runs
+READERS = (eragreats.population, eragreats.rankings)
 
 CELLS = st.sampled_from(
     ["abc", "", " ", "nan", "inf", "-1", "0", "0.5", "1.5", "2", "3", "11", "1e400",
@@ -198,10 +195,10 @@ def _outcome(loader, path):
 
 
 def _reference_outcome(loader, path):
-    """``_outcome`` with every loader on a fresh row-by-row parse."""
+    """``_outcome`` with every loader on the row-by-row parse."""
     with pytest.MonkeyPatch.context() as patch:
         for module in READERS:
-            patch.setattr(module, "read_rows", reference_read_rows)
+            patch.setattr(module, "_parse", reference_read_rows)
         return _outcome(loader, path)
 
 
@@ -214,9 +211,8 @@ def _reference_outcome(loader, path):
 @example(("seasons", "season,value,league_average\n1919,50,0.1\n1920,54,0\n"))
 @example(("weights", "year,a\n1890,0.4\n1900,2\n"))
 @example(("league", "year,teams,roster_size\n1890,8,15\n ,\n1890,8,15,1\n"))
-# explicit examples run in the order written: a valid text is parsed and
-# kept, a mutation of it is parsed afresh, and the valid text again comes
-# from the cache; each is compared with a fresh reference parse
+# explicit examples run in the order written: a valid text, a mutation of
+# it, and the valid text again, each compared with a reference parse
 @example(("weights", _text(BASE_FILES["weights"])))
 @example(("weights", _text(BASE_FILES["weights"]).replace("0.25", "2")))
 @example(("weights", _text(BASE_FILES["weights"])))
@@ -234,7 +230,20 @@ def test_loaders_match_the_row_by_row_reader(case):
     assert got == expected
 
 
-# the per-process parse cache inside read_rows
+# every load reads and parses afresh, and keeps nothing
+
+@pytest.mark.parametrize("loader_name", ["population", "weights", "ranked"])
+def test_two_loads_of_one_file_give_equal_but_distinct_objects(tmp_path, loader_name):
+    loader = LOADERS[loader_name][0]
+    path = tmp_path / f"{loader_name}.csv"
+    path.write_text(_text(BASE_FILES[loader_name]))
+    first, second = loader(path), loader(path)
+    assert first == second
+    # the regimes of a weights file, the table or list of the others
+    built = [list(result.values()) if isinstance(result, dict) else [result]
+             for result in (first, second)]
+    assert all(a is not b for a, b in zip(*built))
+
 
 @pytest.mark.parametrize("loader_name", LOADERS)
 def test_same_text_at_two_paths_loads_equal_results(tmp_path, loader_name):
@@ -307,49 +316,6 @@ def test_editing_a_returned_container_leaves_the_next_load(tmp_path, loader_name
         got.pop()
         got.append(None)
     assert loader(path) == expected
-
-
-def test_the_parse_cache_stays_within_its_bound(tmp_path):
-    limit = eragreats.population._PARSED_LIMIT
-    for year in range(1800, 1800 + limit + 5):
-        path = tmp_path / f"{year}.csv"
-        path.write_text(f"year,a\n{year},0.5\n")
-        assert load_weight_regimes(path)["a"].weights == {year: 0.5}
-        assert len(eragreats.population._parsed) <= limit
-    # the newest file is still kept
-    assert load_weight_regimes(path)["a"].weights == {year: 0.5}
-
-
-def test_threads_loading_at_once_share_the_bounded_cache(tmp_path):
-    limit = eragreats.population._PARSED_LIMIT
-    paths = []
-    for year in range(1700, 1700 + limit + 8):
-        paths.append(tmp_path / f"{year}.csv")
-        paths[-1].write_text(f"year,a\n{year},0.25\n")
-    errors = []
-
-    def load_all(offset):
-        try:
-            for i in range(3 * len(paths)):
-                path = paths[(i + offset) % len(paths)]
-                weights = load_weight_regimes(path)["a"].weights
-                assert weights == {int(path.stem): 0.25}
-                assert len(eragreats.population._parsed) <= limit
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=load_all, args=(7 * n,)) for n in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
 
 
 @pytest.mark.parametrize("separator", ["\x0c", "\u2028", "\x1c", "\x85"])

@@ -336,10 +336,9 @@ def test_weight_sets_are_checked_per_table_and_give_exact_shares(table, regimes)
     for _ in range(2):
         with pytest.raises(DataError, match=r"weights for unknown years \[2015\]"):
             cumulative_proportion(shorter, 1950, twin)
-    # more weight sets than any kept map holds still give the exact shares
-    limit = population._PARSED_LIMIT
-    scaled = [WeightRegime(f"s{i}", {year: (i + 1) / (limit + 10) for year in table.years})
-              for i in range(limit + 5)]
+    # 37 weight sets, each taken twice, give the exact shares
+    scaled = [WeightRegime(f"s{i}", {year: (i + 1) / 42 for year in table.years})
+              for i in range(37)]
     for _ in range(2):
         for regime in scaled:
             assert cumulative_proportion(table, 1999, regime) == exact_cumulative_proportion(
@@ -348,11 +347,11 @@ def test_weight_sets_are_checked_per_table_and_give_exact_shares(table, regimes)
 
 def test_threads_sharing_a_table_get_the_exact_shares():
     # more threads than cores and a short switch interval, each thread
-    # taking shares of more weight sets than any kept map holds on one table
+    # taking shares of 40 weight sets on one table
     table = PopulationTable(tuple(
         PopulationRecord(1900 + 10 * i, 1.0 + i / 7, 10) for i in range(1, 20)))
     regimes = [WeightRegime(f"r{i}", {year: ((i * year) % 97) / 97 + 0.01 for year in table.years})
-               for i in range(population._PARSED_LIMIT + 8)]
+               for i in range(40)]
     expected = [exact_cumulative_proportion(table, 1955, regime) for regime in regimes]
     results = []
 

@@ -6,11 +6,12 @@ share of the all-time eligible pool that existed by then, and ask how
 surprising that count would be if greatness were spread evenly over the
 pool (an exact binomial tail).
 
-Nothing is kept between calls: a grid is the loop over its cells, each
+Nothing is kept between calls.  A grid is the loop over its cells, each
 cell checking its list's span, counting its early players and taking its
-tail, a bridge check the loop over its pairs' tails, and each call takes
-one ``binomial_tail`` per distinct (depth, count, share).  The command
-line keeps each report command's output text (see ``cli``).
+tail; a map local to the call makes each distinct (depth, count, share)
+one ``binomial_tail`` call.  A bridge check is the loop over its pairs,
+one tail per pair, in order.  The command line keeps each report
+command's output text (see ``cli``).
 """
 
 from __future__ import annotations
@@ -61,20 +62,6 @@ def _check_span(ranked: RankedList, table: PopulationTable) -> None:
                 f"{entry.name!r} starts in {entry.career_start_year}, outside the "
                 f"covered span ({first}, {final}]"
             )
-
-
-def _report(source, depth, count, proportion, regime, chances) -> OverrepReport:
-    """The report of one (source, count).  ``chances`` maps each (depth,
-    count, share) already seen in the call to its ``Chance``, so each
-    distinct one is one ``binomial_tail`` call, which checks its
-    arguments; a share is never NaN, so equal keys are equal shares.  A
-    bool or float depth or count, equal to a seen int, is checked too."""
-    key = depth, count, proportion
-    chance = chances.get(key)
-    if chance is None or type(depth) is not int or type(count) is not int:
-        chance = chances[key] = _chance(binomial_tail(depth, count, proportion))
-    # positional: keyword construction costs about 1.8 times as much
-    return OverrepReport(source, depth, count, proportion, chance.probability, chance, regime)
 
 
 def analyze(
@@ -130,7 +117,14 @@ def sensitivity_matrix(
                 if proportion is None:
                     proportion = cumulative_proportion(table, cutoff_year, regime=regime)
                 count = count_early(ranked, depth, cutoff_year)
-                reports.append(_report(ranked.source, depth, count, proportion, name, chances))
+                # count_early has checked the depth, and no share is NaN: equal keys, equal tails
+                key = depth, count, proportion
+                chance = chances.get(key)
+                if chance is None:
+                    chance = chances[key] = _chance(binomial_tail(*key))
+                # positional: keyword construction costs about 1.8 times as much
+                reports.append(OverrepReport(ranked.source, depth, count, proportion,
+                                             chance.probability, chance, name))
     return reports
 
 
@@ -158,9 +152,12 @@ def bridge_check(
         raise DomainError("bridge check needs at least one (depth, count) pair")
     era, pool, _ = _exact_population(table, None, era_cutoff_year, pool_cutoff_year)
     proportion = era / pool
-    chances = {}
-    return [_report("external", depth, early, proportion, None, chances)
-            for depth, early in counts]
+    reports = []
+    for depth, early in counts:
+        chance = _chance(binomial_tail(depth, early, proportion))
+        reports.append(OverrepReport("external", depth, early, proportion,
+                                     chance.probability, chance))
+    return reports
 
 
 def monte_carlo_oracle(depth: int, p: float, trials: int, seed: int) -> numpy.ndarray:

@@ -4,8 +4,9 @@ A season value is rescaled by (historic average / that season's league
 average), so seasons posted against an easy league shrink and seasons
 posted against a hard league grow.  A career total is the exact sum of
 its detrended seasons, rounded once (``detrend_career``); the ``detrend``
-command prints that total too.  The package root does not list this
-module's names; import them from ``eragreats.detrend``.
+command prints that total too.  A number that is not a float is taken as
+its nearest double, after its range check.  The package root does not
+list this module's names; import them from ``eragreats.detrend``.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ def detrend_value(value: float, league_average: float, historic_average: float) 
         raise DomainError(
             f"historic average must be positive and finite, got {historic_average!r}"
         )
-    detrended = value * historic_average / league_average
+    v, h, a = float(value), float(historic_average), float(league_average)
+    detrended = v * h / a
     if not math.isinf(detrended):
         return detrended
-    (v, v_exp), (h, h_exp), (a, a_exp) = map(
-        math.frexp, (value, historic_average, league_average)
-    )
+    (v, v_exp), (h, h_exp), (a, a_exp) = map(math.frexp, (v, h, a))
     try:
         return math.ldexp(v * h / a, v_exp + h_exp - a_exp)
     except OverflowError:
@@ -90,7 +90,7 @@ def compute_historic_average(league_averages: Iterable[float]) -> float:
     for v in values:
         if not 0 < v <= sys.float_info.max:
             raise DomainError(f"league averages must be positive and finite, got {v!r}")
-    total = _exact_sum(values)
+    total = _exact_sum([float(v) for v in values])
     # 2**2097 units of 2**-1074 are 2**1023
     k = max(0, total.bit_length() - 2097)
     return math.ldexp(total / (_UNITS << k) / len(values), k)

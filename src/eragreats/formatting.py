@@ -4,7 +4,8 @@ All report rendering is positional (never scientific notation) so that
 small tail probabilities read like "0.0000057" and proportions like
 "0.187".  ``half_up`` is the one rounding rule behind the "1 in N"
 figures and the dilution table (``format_per_roster_spot``): exact, half
-up, whole numbers from a threshold up and tenths below it.
+up, whole numbers from a threshold up and tenths below it.  A number that
+is not a float is taken as its nearest double, after its range check.
 
 The command line imports this module, with ``errors``, before it parses
 its arguments, so it imports nothing else of the package.
@@ -23,6 +24,7 @@ def format_probability(value: float, significant: int = 3) -> str:
         raise DomainError(f"significant figures must be >= 1, got {significant}")
     if value != value or not abs(value) <= sys.float_info.max:
         raise DomainError(f"value must be finite, got {value!r}")
+    value = float(value)
     if value == 0:
         return "0"
     # one correctly rounded step, carry included; then move the point
@@ -41,7 +43,7 @@ def format_proportion(value: float) -> str:
     """Population shares display with three digits after the point."""
     if value != value or not abs(value) <= sys.float_info.max:
         raise DomainError(f"value must be finite, got {value!r}")
-    return f"{value:.3f}"
+    return f"{float(value):.3f}"
 
 
 def half_up(num: int, den: int, whole_from: int) -> str:
@@ -57,9 +59,9 @@ def half_up(num: int, den: int, whole_from: int) -> str:
 
 
 def format_per_roster_spot(value: float) -> str:
-    """Display rule: the exact value rounded half up, to tenths below 100
-    with a trailing ".0" dropped, to a whole number from 100 up.
+    """Display rule: the double's exact value rounded half up, to tenths
+    below 100 with a trailing ".0" dropped, to a whole number from 100 up.
     """
     if not 0 < value <= sys.float_info.max:
         raise DomainError(f"per-roster-spot value must be positive and finite, got {value!r}")
-    return half_up(*value.as_integer_ratio(), 100)
+    return half_up(*float(value).as_integer_ratio(), 100)

@@ -374,10 +374,11 @@ def grid_step_calls(monkeypatch):
 def test_grid_and_bridge_match_their_oracles_cold_and_warm(
     table, regimes, ranked_lists, monkeypatch, grid_step_calls
 ):
-    # nothing is kept between calls: every call takes one tail per distinct
-    # (depth, count, share), and the grid checks and counts every cell;
-    # analysis looks binomial_tail up as a module global, which is also
-    # what the benchmark tracer wraps
+    # nothing is kept between calls: a grid takes one tail per distinct
+    # (depth, count, share) and checks and counts every cell, and a bridge
+    # takes one tail per pair, in order, repeated pairs too; analysis looks
+    # binomial_tail up as a module global, which is also what the benchmark
+    # tracer wraps
     calls = []
 
     def counting(n, k, p):
@@ -396,8 +397,10 @@ def test_grid_and_bridge_match_their_oracles_cold_and_warm(
             calls.clear()
             grid_step_calls.clear()
             assert outcome(evaluate, *args) == expected
-            assert sorted(calls) == sorted(set(tails))
-            if evaluate is sensitivity_matrix:
+            if evaluate is bridge_check:
+                assert calls == tails
+            else:
+                assert sorted(calls) == sorted(set(tails))
                 # 3 regimes x 2 depths x 4 lists of spans and counts, one share
                 # per regime
                 assert grid_step_calls == {"_check_span": 24, "cumulative_proportion": 3,
@@ -449,6 +452,9 @@ def test_an_error_is_raised_again_on_every_call(table, ranked_lists):
     ([True], 1950, "depth must be an integer, got True"),
     ([10.0], 1950, "depth must be an integer, got 10.0"),
     ([10], 1950.0, "cutoff year must be an integer, got 1950.0"),
+    # the equal int depth runs first in the same call
+    ([1, True], 1950, "depth must be an integer, got True"),
+    ([10, 10.0], 1950, "depth must be an integer, got 10.0"),
 ])
 def test_an_equal_non_int_does_not_find_a_kept_grid(table, ranked_lists, depths, cutoff, error):
     # True == 1 and 1950.0 == 1950 hash alike, but a grid refuses both,

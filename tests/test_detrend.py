@@ -64,6 +64,10 @@ def test_detrend_value_domain():
         detrend_value(1.0, 10**400, 1.0)
     with pytest.raises(DomainError):
         detrend_value(1e300, 1e-300, 1.0)
+    # ints whose product passes the largest double are taken as doubles too
+    with pytest.raises(DomainError, match=re.escape(
+            f"detrended value {10**300} * {10**300} / 1 overflows a double")):
+        detrend_value(10**300, 1, 10**300)
     # the product overflows, the result does not
     assert detrend_value(1e300, 1e20, 1e10) == 1e290
     assert detrend_value(-1e300, 1e20, 1e10) == -1e290
@@ -72,6 +76,9 @@ def test_detrend_value_domain():
 def test_historic_average_is_arithmetic_mean():
     assert compute_historic_average([2.0, 4.0]) == 3.0
     assert compute_historic_average([5.0]) == 5.0
+    # a number that is not a float is taken as its nearest double
+    assert compute_historic_average([5]) == 5.0
+    assert compute_historic_average([Fraction(1, 3)]) == compute_historic_average([1 / 3])
     with pytest.raises(DomainError):
         compute_historic_average([])
     with pytest.raises(DomainError):
@@ -147,6 +154,8 @@ def test_career_sums_detrended_seasons():
     assert detrend_career(stats, historic_average=5.0) == pytest.approx(
         40.0 * 0.5 + 30.0, rel=1e-12
     )
+    # int values and league averages are taken as doubles
+    assert detrend_career([SeasonStat(1900, 5, 4)]) == detrend_career([SeasonStat(1900, 5.0, 4.0)])
 
 
 def test_career_with_uniform_league_average_is_plain_sum():

@@ -1,13 +1,14 @@
 """Positional significant-figure rendering and the half-up display rule."""
 
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from eragreats import DomainError, format_probability
-from eragreats.formatting import format_proportion, half_up
+from eragreats.formatting import format_per_roster_spot, format_proportion, half_up
 from oracles import rounded_half_up, significant_figures
 
 
@@ -83,6 +84,14 @@ def test_rejects_non_finite_and_bad_precision():
     for format_value in (format_probability, format_proportion):
         with pytest.raises(DomainError, match=f"^value must be finite, got {10**400}$"):
             format_value(10**400)
+
+
+# 0.1235 and 0.15 round the other way from their doubles
+@pytest.mark.parametrize("value", [3, 2**60 + 1, Fraction(1, 3), Fraction(3, 20),
+                                   Decimal("0.1235"), Decimal("0.15")], ids=repr)
+def test_a_number_that_is_not_a_float_prints_as_its_nearest_double(value):
+    for format_value in (format_probability, format_proportion, format_per_roster_spot):
+        assert format_value(value) == format_value(float(value))
 
 
 @given(
